@@ -2,10 +2,20 @@
 
 The refinement closure of a family is searched as point-to-member
 assignments: gluing, per cell of the assignment's level sets, the chosen
-member's cells and weights.  A vectorized pass locates near-maximal
-assignments; the winners are re-evaluated through the canonical fsum
-path of :mod:`pwnorm.norms`, so values agree bit-for-bit with every
-other route to the same refined pair.
+member's cells and weights.  The norm of an assignment's refined pair,
+raised to the power p, is Σ S^{p/2} over the (member, cell) buckets the
+points land in, S being the bucket's sum of terms c²w².
+
+An exact branch and bound (Land & Doig) over the points finds every
+assignment within a relative band of the maximum of that sum.  Its bound
+rests on convexity: S ↦ S^{p/2} is convex and 0 at 0, so adding a mass R
+to any number of buckets raises Σ S^{p/2} by at most (s+R)^{p/2} − s^{p/2},
+where s is the largest bucket sum.  Nodes are cut with twice the band as
+margin, so float rounding cannot cut a leaf inside the band.  The leaves
+in the band are re-evaluated through the canonical fsum path of
+:mod:`pwnorm.norms` in ascending assignment order, so values agree
+bit-for-bit with every other route to the same refined pair and the
+reported witness is the first maximizer full enumeration would find.
 """
 
 from __future__ import annotations
@@ -13,15 +23,18 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import CapacityError, SupportError, ValidationError
+from .errors import CapacityError, NormOverflowError, SupportError, ValidationError
 from .families import (
     DEFAULT_MAX_PAIRS,
     Family,
+    cell_restrictions,
     glue_restrictions,
     restrict_family,
     set_partitions,
@@ -53,6 +66,7 @@ DEFAULT_CHECK_SUPPORT = 6
 DEFAULT_CHECK_MEMBERS = 4
 
 _NEAR_BAND = 1e-11  # relative slack for collecting re-evaluation candidates
+_MAX_FINALISTS = 1 << 22  # near-maximal assignments re-evaluated at most
 
 
 @dataclass(frozen=True)
@@ -147,13 +161,7 @@ def has_envelope_property(
     if len(pts) <= max_support and len(members) <= max_members:
         checked = 0
         for cells in set_partitions(pts):
-            per_cell: list[list[tuple[RestrictedPair, str]]] = []
-            for q in cells:
-                seen: dict[tuple, tuple[RestrictedPair, str]] = {}
-                for rp in members:
-                    sub = rp.restrict_to(q)
-                    seen.setdefault(sub.canonical_key(), (sub, rp.label))
-                per_cell.append(list(seen.values()))
+            per_cell = [cell_restrictions(members, q) for q in cells]
             for picks in itertools.product(*per_cell):
                 checked += 1
                 glued = glue_restrictions(pts, [sub for sub, _ in picks])
@@ -207,7 +215,22 @@ def envelope_norm_exact(
     Returns the canonical value and the lexicographically smallest
     maximizing assignment (points in sorted order, members in restricted
     order).  The search space is |members|^|support|; all three caps are
-    hard errors, never approximations.
+    hard errors, never approximations, and the ``max_assignments`` cap is
+    checked on that count before any search runs.
+
+    The search is a depth-first branch and bound over the points, heaviest
+    first.  The objective is Σ S^{p/2} over the (member, cell) buckets,
+    where S sums the chosen terms c²w² of the points put into the bucket.
+    Since S^{p/2} is convex and 0 at 0, spreading the remaining terms
+    (each point's largest, R in total) over any buckets raises the
+    objective by at most (s+R)^{p/2} − s^{p/2}, with s the largest bucket
+    sum so far.  A node is cut only when that bound falls below the best
+    leaf times 1 − 2·_NEAR_BAND: float rounding is many orders smaller
+    than the band, so no leaf within _NEAR_BAND of the final best is ever
+    cut.  Those leaves are re-evaluated canonically in ascending order, so
+    the winner is the one full enumeration would report.
+    ``candidates_evaluated`` counts the |members|^|support| assignments
+    the search certifies, pruned or not.
     """
     supp = x.support(cap=max_support)
     members = restrict_family(f, supp, max_pairs)
@@ -222,63 +245,24 @@ def envelope_norm_exact(
         )
 
     items = dict(x.items())
-    c = np.array([items[b] for b in supp], dtype=np.float64)
-    W = np.array([[rp.weight_map()[b] for rp in members] for b in supp])
+    wmaps = [rp.weight_map() for rp in members]
     cell_of = [rp.cell_of() for rp in members]
-    ncells = [len(rp.cells) for rp in members]
-    offs = np.concatenate(([0], np.cumsum(ncells)[:-1]))
-    bucket = (
-        np.array([[cell_of[r][b] for r in range(k)] for b in supp], dtype=np.int64)
-        + offs[None, :]
-    )
-    nb = int(sum(ncells))
-    T = (c * c)[:, None] * (W * W)
-    hp = f.p / 2.0
-    powers = np.array([k ** (n - 1 - i) for i in range(n)], dtype=np.int64)
-    cols = np.arange(n, dtype=np.int64)[None, :]
+    offs = [0] * k
+    for r in range(1, k):
+        offs[r] = offs[r - 1] + len(members[r - 1].cells)
+    terms = [[term(items[b], wmaps[r][b]) for r in range(k)] for b in supp]
+    buckets = [[offs[r] + cell_of[r][b] for r in range(k)] for b in supp]
+    nb = offs[-1] + len(members[-1].cells)
 
-    best = -math.inf
-    cand_ids: list[np.ndarray] = []
-    cand_vals: list[np.ndarray] = []
-    kept = 0
-    chunk = 1 << 13
-    for start in range(0, total, chunk):
-        ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = (ids[:, None] // powers[None, :]) % k
-        tt = T[cols, digits]
-        bb = bucket[cols, digits]
-        rows = np.arange(len(ids), dtype=np.int64)[:, None]
-        sums = np.bincount(
-            (rows * nb + bb).ravel(), weights=tt.ravel(), minlength=len(ids) * nb
-        ).reshape(len(ids), nb)
-        vals = (sums**hp).sum(axis=1)
-        m = float(vals.max())
-        if m > best:
-            best = m
-        mask = vals >= best * (1.0 - _NEAR_BAND)
-        cand_ids.append(ids[mask])
-        cand_vals.append(vals[mask])
-        kept += int(mask.sum())
-        if kept > 1 << 21:
-            ids_all = np.concatenate(cand_ids)
-            vals_all = np.concatenate(cand_vals)
-            keep = vals_all >= best * (1.0 - _NEAR_BAND)
-            cand_ids = [ids_all[keep]]
-            cand_vals = [vals_all[keep]]
-            kept = int(keep.sum())
-            if kept > 1 << 22:
-                raise CapacityError(
-                    "too many near-maximal assignments to certify a canonical winner"
-                )
-
-    ids_all = np.concatenate(cand_ids)
-    vals_all = np.concatenate(cand_vals)
-    finalists = np.sort(ids_all[vals_all >= best * (1.0 - _NEAR_BAND)])
-
+    try:
+        finalists = _near_maximal(terms, buckets, nb, f.p / 2.0)
+    except OverflowError as exc:
+        raise NormOverflowError(
+            "envelope evaluation overflowed (a cell sum to the power p/2)"
+        ) from exc
     best_val = -1.0
     best_choice: tuple[int, ...] | None = None
-    for aid in finalists.tolist():
-        choice = tuple(int(aid // int(powers[i])) % k for i in range(n))
+    for choice in finalists:
         v = pair_norm(x, assignment_pair(supp, members, choice), f.p)
         if v > best_val:
             best_val, best_choice = v, choice
@@ -291,6 +275,113 @@ def envelope_norm_exact(
         value=best_val, argmax_member=assignment.label(), candidates_evaluated=total
     )
     return result, assignment
+
+
+def _near_maximal(
+    terms: list[list[float]], buckets: list[list[int]], nb: int, hp: float
+) -> list[tuple[int, ...]]:
+    """All assignments whose objective Σ_buckets S^hp lies within
+    _NEAR_BAND of the maximum, in ascending order.
+
+    ``terms[i][r]`` and ``buckets[i][r]`` are point i's term and bucket
+    under member r.  The objective is tracked incrementally, so its value
+    may differ from a fresh sum by rounding; the band absorbs that.
+    """
+    n = len(terms)
+    k = len(terms[0])
+    # the best single-member assignment is the first incumbent
+    best = 0.0
+    for r in range(k):
+        sums: dict[int, float] = {}
+        for i in range(n):
+            b = buckets[i][r]
+            sums[b] = sums.get(b, 0.0) + terms[i][r]
+        best = max(best, sum(s**hp for s in sums.values()))
+    if best == math.inf:
+        # a bucket sum of the search is at most its single-member cell sum,
+        # so only here can S^hp reach inf (and inf - inf give nan)
+        raise OverflowError("a single-member assignment overflows")
+
+    # (s+R)^hp overflows from here on; such a bound never prunes
+    huge = sys.float_info.max ** (1.0 / hp)
+    order = sorted(range(n), key=lambda i: -max(terms[i]))
+    rest = [0.0] * (n + 1)  # rest[d]: Σ of the largest terms at depths >= d
+    for d in range(n - 1, -1, -1):
+        rest[d] = rest[d + 1] + max(terms[order[d]])
+    place = [k ** (n - 1 - i) for i in range(n)]
+    S = [0.0] * nb  # bucket sums
+    P = [0.0] * nb  # bucket sums to the power hp
+    cut = best * (1.0 - 2.0 * _NEAR_BAND)
+    ids = array("q")  # assignment ids: base-k digits, first point most significant
+    vals = array("d")
+    limit = _MAX_FINALISTS
+
+    def leaves(i: int, cur: float, step: int) -> None:
+        nonlocal best, cut, ids, vals, limit
+        for r in range(k):
+            b = buckets[i][r]
+            v = cur + (S[b] + terms[i][r]) ** hp - P[b]
+            if v < cut:
+                continue
+            if v > best:
+                if best < v * (1.0 - _NEAR_BAND):
+                    # every leaf kept so far is at most best: all out of the band
+                    del ids[:], vals[:]
+                best = v
+                cut = best * (1.0 - 2.0 * _NEAR_BAND)
+            if v >= best * (1.0 - _NEAR_BAND):
+                ids.append(step + r * place[i])
+                vals.append(v)
+        if len(ids) > limit:
+            ids, vals = _within_band(ids, vals, best)
+            limit = len(ids) + _MAX_FINALISTS // 2
+
+    def visit(d: int, cur: float, smax: float, smax_h: float, step: int) -> None:
+        i = order[d]
+        R = rest[d + 1]
+        last = d + 2 == n
+        for r in range(k):
+            b = buckets[i][r]
+            s0 = S[b]
+            s = s0 + terms[i][r]
+            sh = s**hp
+            v = cur + sh - P[b]
+            if s > smax:
+                m, mh = s, sh
+            else:
+                m, mh = smax, smax_h
+            t = m + R
+            if t < huge and v + t**hp - mh < cut:
+                continue
+            p0 = P[b]
+            S[b] = s
+            P[b] = sh
+            if last:
+                leaves(order[d + 1], v, step + r * place[i])
+            else:
+                visit(d + 1, v, m, mh, step + r * place[i])
+            S[b] = s0
+            P[b] = p0
+
+    if n == 1:
+        leaves(order[0], 0.0, 0)
+    else:
+        visit(0, 0.0, 0.0, 0.0, 0)
+
+    ids, _ = _within_band(ids, vals, best)
+    return [tuple(a // place[i] % k for i in range(n)) for a in sorted(ids)]
+
+
+def _within_band(ids: array, vals: array, best: float) -> tuple[array, array]:
+    """The (id, value) entries within _NEAR_BAND of ``best``; a hard error
+    when more than _MAX_FINALISTS of them would need re-evaluation."""
+    keep = best * (1.0 - _NEAR_BAND)
+    kept = [j for j, v in enumerate(vals) if v >= keep]
+    if len(kept) > _MAX_FINALISTS:
+        raise CapacityError(
+            "too many near-maximal assignments to certify a canonical winner"
+        )
+    return array("q", [ids[j] for j in kept]), array("d", [vals[j] for j in kept])
 
 
 def envelope_lower_bound(

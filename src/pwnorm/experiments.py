@@ -323,29 +323,35 @@ def rosenthal_mc(
         p,
     ).value
 
-    amp = np.array([a for a, _ in pairs])
+    # |Σ f_i|^p is sampled in units of scale^p, so neither it nor its
+    # square overflows; the scale comes back only after the square root
+    scale = max(abs(a) for a, _ in pairs)
+    amp = np.array([a / scale for a, _ in pairs])
     prob = np.array([q for _, q in pairs])
     n_chunks = (samples + _MC_CHUNK - 1) // _MC_CHUNK
     children = np.random.SeedSequence(seed).spawn(n_chunks)
     chunk_pow = []
-    chunk_pow2 = []
+    mean, m2 = 0.0, 0.0
     done = 0
     for i in range(n_chunks):
         size = min(_MC_CHUNK, samples - done)
-        done += size
         rng = np.random.default_rng(children[i])
         u = rng.random((size, len(pairs)))
         draws = np.where(u < prob / 2.0, amp, np.where(u < prob, -amp, 0.0))
         s = np.abs(draws.sum(axis=1)) ** p
         chunk_pow.append(float(s.sum()))
-        chunk_pow2.append(float((s * s).sum()))
-    total = math.fsum(chunk_pow)
-    total2 = math.fsum(chunk_pow2)
-    mean = total / samples
-    var = max(0.0, (total2 - samples * mean * mean) / (samples - 1))
-    se_mean = math.sqrt(var / samples)
-    lhs = mean ** (1.0 / p)
-    stderr = se_mean / (p * mean ** ((p - 1.0) / p)) if mean > 0.0 else 0.0
+        # merge the chunk's mean and M2 (Chan, Golub & LeVeque)
+        c_mean = float(s.mean())
+        delta = c_mean - mean
+        mean += delta * size / (done + size)
+        m2 += float(((s - c_mean) ** 2).sum()) + delta * delta * done * size / (done + size)
+        done += size
+    lhs = scale * (math.fsum(chunk_pow) / samples) ** (1.0 / p)
+    se_mean = math.sqrt(m2 / (samples - 1) / samples)
+    if mean > 0.0:
+        stderr = scale * (se_mean / (p * mean ** ((p - 1.0) / p)))
+    else:
+        stderr = 0.0
     return RosenthalResult(
         lhs_est=lhs,
         stderr=stderr,

@@ -11,6 +11,7 @@ source yields a finite, canonical, deduplicated list of
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence, Union
 
@@ -45,6 +46,7 @@ __all__ = [
     "subset_label",
     "lattice_member_weight",
     "glue_restrictions",
+    "cell_restrictions",
     "set_partitions",
     "sum_embed",
     "sum_split_support",
@@ -141,8 +143,8 @@ class Family:
     members: MemberSource
 
     def __post_init__(self) -> None:
-        if not (self.p > 2.0):
-            raise ValidationError(f"exponent p must be > 2, got {self.p}")
+        if not (2.0 < self.p < math.inf):
+            raise ValidationError(f"exponent p must be finite and > 2, got {self.p}")
         if self.arity < 1:
             raise ValidationError(f"arity must be >= 1, got {self.arity}")
         m = self.members
@@ -382,6 +384,22 @@ def glue_restrictions(
     )
 
 
+def cell_restrictions(
+    members: Sequence[RestrictedPair], cell: Sequence[Index]
+) -> list[tuple[RestrictedPair, str]]:
+    """The distinct restrictions of the members to one cell, each with the
+    label of the first member (in the given order) that yields it.
+
+    Per cell, member choices matter only through their restriction to
+    the cell, so refinements are enumerated over these.
+    """
+    seen: dict[tuple, tuple[RestrictedPair, str]] = {}
+    for rp in members:
+        sub = rp.restrict_to(cell)
+        seen.setdefault(sub.canonical_key(), (sub, rp.label))
+    return list(seen.values())
+
+
 def _restrict_envelope(
     family: Family, src: EnvelopeMembers, support: list[Index], max_pairs: int
 ) -> list[RestrictedPair]:
@@ -390,15 +408,7 @@ def _restrict_envelope(
     out: list[RestrictedPair] = []
     total = 0
     for cells in set_partitions(pts):
-        # Per cell, member choices matter only through their restriction
-        # to the cell; dedup before taking the product.
-        per_cell: list[list[tuple[RestrictedPair, str]]] = []
-        for q in cells:
-            seen: dict[tuple, tuple[RestrictedPair, str]] = {}
-            for rp in inner:
-                sub = rp.restrict_to(q)
-                seen.setdefault(sub.canonical_key(), (sub, rp.label))
-            per_cell.append(list(seen.values()))
+        per_cell = [cell_restrictions(inner, q) for q in cells]
         combos = 1
         for choices in per_cell:
             combos *= len(choices)

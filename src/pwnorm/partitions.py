@@ -238,9 +238,10 @@ def restrict_pair(pair: PairPW, support: Sequence[Index], arity: int) -> Restric
         cells = [c for c in cells if c]
         source = None
     else:
+        fixed = [q - 1 for q in sorted(part.fixed_coords(arity))]
         groups: dict[tuple[int, ...], list[Index]] = {}
         for b in pts:
-            groups.setdefault(part.cell_key(b, arity), []).append(b)
+            groups.setdefault(tuple(b[q] for q in fixed), []).append(b)
         cells = [tuple(g) for g in groups.values()]
         source = None
 

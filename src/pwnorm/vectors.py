@@ -9,6 +9,7 @@ treats them intensionally when the member weights permit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -43,6 +44,11 @@ class ConstantBlock:
             raise ValidationError("block coefficient must be nonzero")
         tpl = tuple(self.template)
         check_index(tpl, len(tpl))
+        if not math.isfinite(self.coeff):
+            raise ValidationError(
+                f"block at {tpl} (coordinate {self.running_coord} over "
+                f"{self.lo}..{self.hi}): coefficient {self.coeff!r} is not finite"
+            )
         object.__setattr__(self, "template", tpl)
 
     @property
@@ -122,6 +128,8 @@ class SparseVector:
             idx = tuple(idx)
             check_index(idx, self.arity)
             c = float(c)
+            if not math.isfinite(c):
+                raise ValidationError(f"entry {idx}: coefficient {c!r} is not finite")
             if c != 0.0:
                 ents.append((idx, c))
         ents.sort()

@@ -333,6 +333,13 @@ def test_exit_code_2_on_bad_vector(tmp_path, capsys):
     assert "expected 1 coordinates, got 2" in capsys.readouterr().err
 
 
+def test_exit_code_2_on_non_finite_vector_value(tmp_path, capsys):
+    vec = _file(tmp_path, "1 : 1\n2 : nan\n", "nan.vec")
+    rc = main(["--command", "norm", "--config", _cfg(tmp_path), "--vector", vec])
+    assert rc == 2
+    assert "entry (2,): coefficient nan is not finite" in capsys.readouterr().err
+
+
 def test_exit_code_2_on_missing_flag(tmp_path, capsys):
     rc = main(["--command", "norm", "--config", _cfg(tmp_path)])
     assert rc == 2

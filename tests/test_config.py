@@ -223,6 +223,12 @@ def test_build_errors_carry_node_paths(expr, message):
     assert str(exc.value).startswith(message)
 
 
+def test_build_space_rejects_overflowing_p():
+    p, node = parse_config("p = 1e400\nspace = lp\n")
+    with pytest.raises(ValidationError, match="space.lp: exponent p must be finite"):
+        build_space(p, node)
+
+
 def test_build_space_rejects_weight_node_directly():
     with pytest.raises(ValidationError, match="'one' is not a space node"):
         build_space(4.0, ConfigNode("one"))

@@ -1,7 +1,8 @@
+import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -17,9 +18,9 @@ from pwnorm.envelope import (
     xp_envelope_subset,
     xp_envelope_threshold,
 )
-from pwnorm.errors import CapacityError, ValidationError
+from pwnorm.errors import CapacityError, NormOverflowError, ValidationError
 from pwnorm.families import ExplicitMembers, Family, restrict_family
-from pwnorm.norms import family_norm
+from pwnorm.norms import family_norm, pair_norm
 from pwnorm.partitions import Discrete, Indiscrete, PairPW, RestrictedPartition
 from pwnorm.spaces import envelope_family, make_rosenthal_xp
 from pwnorm.vectors import SparseVector
@@ -117,6 +118,31 @@ def test_envelope_norm_ties_resolve_to_first_assignment():
     assert asg.label() == "assign[discrete,discrete]"
 
 
+def test_envelope_norm_two_way_tie_on_equal_coefficients():
+    # all-discrete and all-() both give 16 = 2^4; every mixed assignment is
+    # smaller, so the search must keep both ends and report the first
+    res, asg = envelope_norm_exact(ones(16), XP_HALF)
+    assert res.value == 2.0
+    assert asg.member_labels == ("discrete",) * 16
+    assert res.candidates_evaluated == 2**16
+
+
+@settings(max_examples=80)
+@given(small_families(admissible=True), sparse_vectors(max_points=5))
+def test_envelope_witness_is_first_maximizer(fam, x):
+    supp = x.support()
+    members = restrict_family(fam, supp)
+    assume(len(members) <= 4)
+    res, asg = envelope_norm_exact(x, fam)
+    best, first = -1.0, None
+    for choice in itertools.product(range(len(members)), repeat=len(supp)):
+        v = pair_norm(x, assignment_pair(supp, members, choice), fam.p)
+        if v > best:
+            best, first = v, choice
+    assert res.value == best
+    assert asg.member_labels == tuple(members[r].label for r in first)
+
+
 def test_envelope_norm_caps():
     with pytest.raises(CapacityError, match="support"):
         envelope_norm_exact(ones(17), XP_HALF)
@@ -124,6 +150,13 @@ def test_envelope_norm_caps():
         envelope_norm_exact(ones(4), XP_HALF, max_assignments=8)
     with pytest.raises(CapacityError, match="members"):
         envelope_norm_exact(ones(4), XP_HALF, max_members=1)
+
+
+def test_envelope_norm_overflow_is_reported():
+    for c in (1e200, 1e77):  # c*c overflows / (4·c²)² overflows
+        x = SparseVector(1, entries=tuple(((i,), c) for i in range(1, 5)))
+        with pytest.raises(NormOverflowError):
+            envelope_norm_exact(x, XP_HALF)
 
 
 def test_envelope_lower_bound_matches_argmax():

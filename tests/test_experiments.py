@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import pytest
 
@@ -227,6 +228,14 @@ def test_mc_stderr_scales_with_samples():
     base = rosenthal_mc([(1.0, 1.0)] * 10, 4.0, 10**5, 0)
     more = rosenthal_mc([(1.0, 1.0)] * 10, 4.0, 4 * 10**5, 0)
     assert 0.35 < more.stderr / base.stderr < 0.65
+
+
+def test_mc_stderr_survives_huge_amplitudes():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = rosenthal_mc([(1e40, 0.5), (1.0, 0.5)], 4.0, 10_000, 0)
+    assert math.isfinite(res.stderr) and res.stderr > 0.0
+    assert abs(res.lhs_est - res.rhs) <= 3 * res.stderr
 
 
 def test_mc_single_variable_ratio_near_one():

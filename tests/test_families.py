@@ -1,5 +1,7 @@
 """Family member semantics: lattice, sum, tensor, envelope, restriction."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -40,6 +42,11 @@ XP = make_rosenthal_xp(4.0, PowerDecay(0.25))
 def test_family_validates_p_and_arity():
     with pytest.raises(ValidationError, match="p"):
         Family(2.0, 1, ExplicitMembers((PairPW(Discrete(), One(), "d"),)))
+    for p in (math.inf, math.nan):
+        with pytest.raises(ValidationError, match="finite"):
+            Family(p, 1, ExplicitMembers((PairPW(Discrete(), One(), "d"),)))
+    with pytest.raises(ValidationError, match="finite"):
+        make_lp(math.inf)
     # a one-dimensional weight in a wider family surfaces at restriction time
     fam = Family(4.0, 2, ExplicitMembers((PairPW(Discrete(), PowerDecay(0.5), "d"),)))
     with pytest.raises((ValidationError, ArityError)):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -29,6 +31,15 @@ def test_block_validation():
         blk(coeff=0.0)
     with pytest.raises(ValidationError):
         ConstantBlock(template=(5, 1), running_coord=3, lo=1, hi=2, coeff=1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match=r"block at \(5, 1\).*not finite"):
+            blk(coeff=bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_vector_rejects_non_finite_coefficients(bad):
+    with pytest.raises(ValidationError, match=r"entry \(2, 3\).*not finite"):
+        SparseVector(2, entries=(((1, 1), 1.0), ((2, 3), bad)))
 
 
 def test_vector_drops_zeros_and_sorts():
