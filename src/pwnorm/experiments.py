@@ -2,8 +2,9 @@
 
 Two experiments live here.  The first builds the n-block witness vector
 on the subset-lattice family, evaluates its norm under every lattice
-member in closed form (the parameters make full expansion infeasible),
-and certifies an envelope lower bound of n^{1/p} — so the family norm and
+member from the blocks in closed form (the parameters put millions of
+points into each block), the same evaluation ``family_norm`` runs, and
+certifies an envelope lower bound of n^{1/p} — so the family norm and
 the envelope norm drift apart as n grows.  The second estimates the
 p-th moment of a sum of independent symmetric three-point variables by
 Monte Carlo and compares it against the exact subset maximum that the
@@ -23,12 +24,11 @@ from .errors import ValidationError
 from .families import (
     Family,
     SubsetLattice,
-    lattice_member_weight,
+    descriptor_members,
     subset_label,
     subset_order,
 )
-from .norms import member_norm_intensional, pair_norm, term
-from .partitions import PairGrouping, PairPW, restrict_pair
+from .norms import member_norm_intensional, term
 from .vectors import ConstantBlock, SparseVector
 from .weights import PowerDecay, Weight
 
@@ -42,15 +42,8 @@ __all__ = [
     "yn_default_params",
     "RosenthalResult",
     "rosenthal_mc",
-    "EXTENSIONAL_CUTOFF",
     "MIN_MC_SAMPLES",
 ]
-
-# Below this support size the per-member sums are evaluated extensionally,
-# which agrees bit-for-bit with the generic family-norm path; above it the
-# closed block forms are used (mandatory: valid parameter sets routinely
-# put millions of points into each block).
-EXTENSIONAL_CUTOFF = 20_000
 
 MIN_MC_SAMPLES = 10_000
 
@@ -162,28 +155,15 @@ def _lattice_of(family: Family) -> SubsetLattice:
 def yn_sums(x: SparseVector, family: Family) -> list[float]:
     """Norm of ``x`` under each subset member, in canonical subset order.
 
-    Small supports are evaluated extensionally (bit-identical to the
-    generic family evaluator); large ones use the closed block forms.
+    Each comes from :func:`~pwnorm.norms.member_norm_intensional`, the
+    closed block form that ``family_norm`` uses too, so the largest sum
+    is the family norm bit for bit.
     """
-    src = _lattice_of(family)
-    if x.arity != family.arity:
-        raise ValidationError(
-            f"vector arity {x.arity} does not match the family arity {family.arity}"
-        )
-    extensional = x.support_size <= EXTENSIONAL_CUTOFF
-    supp = x.support(cap=EXTENSIONAL_CUTOFF) if extensional else None
-    out = []
-    for I in subset_order(src.n):
-        weight = lattice_member_weight(src.n, I, src.base)
-        partition = PairGrouping(frozenset(I))
-        if extensional:
-            rp = restrict_pair(PairPW(partition, weight, subset_label(I)), supp, family.arity)
-            out.append(pair_norm(x, rp, family.p))
-        else:
-            out.append(
-                member_norm_intensional(x, partition, weight, family.p, family.arity)
-            )
-    return out
+    _lattice_of(family)
+    return [
+        member_norm_intensional(x, m.partition, m.weight, family.p, family.arity)
+        for m in descriptor_members(family)
+    ]
 
 
 def yn_envelope_lb(params: YnParams) -> float:

@@ -2,9 +2,10 @@
 
 A family is an exponent p > 2 together with a member source: an explicit
 list, the subset lattice over coordinate pairs, a sum of child families,
-a tensor product, or the refinement closure of an inner family.  All
-norm evaluation happens on restrictions to finite supports, where every
-source yields a finite, canonical, deduplicated list of
+a tensor product, or the refinement closure of an inner family.  Members
+given by descriptors (:func:`descriptor_members`) are normed straight
+from a vector's blocks; on finite supports every source also yields a
+finite, canonical, deduplicated list of
 :class:`~pwnorm.partitions.RestrictedPair`.
 """
 
@@ -40,6 +41,7 @@ __all__ = [
     "MemberSource",
     "Family",
     "restrict_family",
+    "descriptor_members",
     "is_admissible",
     "indiscrete_weight",
     "subset_order",
@@ -472,6 +474,31 @@ def restrict_family(
     if len(raw) > max_pairs:
         raise CapacityError(f"{len(raw)} restricted pairs exceed the cap {max_pairs}")
     return _dedup(raw)
+
+
+def descriptor_members(
+    family: Family, max_pairs: int = DEFAULT_MAX_PAIRS
+) -> list[PairPW] | None:
+    """The members in canonical order when each is a partition descriptor
+    with a weight descriptor, else None (composite sources, restricted
+    partitions, weights given by point values).  More than ``max_pairs``
+    members raise :class:`CapacityError` before any is built."""
+    src, pairs = family.members, []
+    while isinstance(src, ExtendedMembers):
+        src, pairs = src.base, list(src.extra) + pairs
+    if isinstance(src, ExplicitMembers):
+        pairs = list(src.pairs) + pairs
+    elif not isinstance(src, SubsetLattice):
+        return None
+    if not all(
+        isinstance(m.partition, PartitionDescriptor) and isinstance(m.weight, Weight)
+        for m in pairs
+    ):
+        return None
+    lattice = 2**src.n if isinstance(src, SubsetLattice) else 0
+    if lattice + len(pairs) > max_pairs:
+        raise CapacityError(f"{lattice + len(pairs)} members exceed the cap {max_pairs}")
+    return (_lattice_pairs(src) if lattice else []) + pairs
 
 
 # ---------------------------------------------------------------------------

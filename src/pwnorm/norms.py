@@ -15,11 +15,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import CapacityError, NormOverflowError, SupportError
-from .families import DEFAULT_MAX_PAIRS, Family, restrict_family
+from .errors import ArityError, CapacityError, NormOverflowError, SupportError
+from .families import DEFAULT_MAX_PAIRS, Family, descriptor_members, restrict_family
 from .indices import Index
-from .partitions import PairPW, PartitionDescriptor, RestrictedPair
-from .vectors import SparseVector
+from .partitions import PartitionDescriptor, RestrictedPair, check_weight_value
+from .vectors import ConstantBlock, SparseVector, blocks_overlap
 from .weights import Weight
 
 __all__ = [
@@ -40,17 +40,40 @@ def term(c: float, w: float) -> float:
     return (c * c) * (w * w)
 
 
-def canonical_value(cell_terms: Sequence[Sequence[float]], p: float) -> float:
-    """((Σ_cells (Σ terms)^{p/2})^{1/p} with fsum at both levels."""
+def canonical_value(cell_terms: Sequence[Sequence[float]], p: float, singletons=()) -> float:
+    """((Σ_cells (Σ terms)^{p/2})^{1/p} with fsum at both levels.
+
+    ``singletons`` lists (K, t) for K further cells that hold the single
+    term t each; they enter the outer sum as the exact parts of K·t^{p/2},
+    which fsum adds exactly as it would add K copies of t^{p/2}.
+    """
     hp = p / 2.0
     try:
-        outer = math.fsum(pow(math.fsum(ts), hp) for ts in cell_terms)
+        outer_terms = [pow(math.fsum(ts), hp) for ts in cell_terms]
+        for k, t in singletons:
+            outer_terms.extend(_exact_multiple(k, pow(t, hp)))
+        outer = math.fsum(outer_terms)
         value = pow(outer, 1.0 / p)
     except OverflowError as exc:
         raise NormOverflowError(f"norm evaluation overflowed ({exc})") from exc
     if not math.isfinite(value):
         raise NormOverflowError(f"norm evaluation overflowed (outer sum {outer!r})")
     return value
+
+
+def _exact_multiple(k: int, v: float) -> list[float]:
+    """Floats whose exact sum is k·v: fsum over them equals fsum over k
+    copies of v, bit for bit; NormOverflowError past the float range."""
+    try:
+        num, den = v.as_integer_ratio()  # den: a power of two, a multiple of each part's
+        num, parts = num * k, []
+        while num:  # the rest is num/den
+            parts.append(num / den)  # int / int is correctly rounded
+            pn, pd = parts[-1].as_integer_ratio()
+            num -= pn * (den // pd)
+    except OverflowError as exc:
+        raise NormOverflowError(f"norm evaluation overflowed ({exc})") from exc
+    return parts
 
 
 @dataclass(frozen=True)
@@ -88,18 +111,30 @@ def family_norm(
     max_pairs: int = DEFAULT_MAX_PAIRS,
     max_support: int = DEFAULT_MAX_SUPPORT,
 ) -> NormResult:
-    """Exact max of pair norms over the family restricted to supp(x)."""
-    supp = x.support(cap=max_support)
-    if not supp:
+    """Exact max of member norms over the family, first maximiser's label.
+
+    Members given by descriptors are evaluated from the blocks of ``x`` by
+    :func:`member_norm_intensional` (``max_support`` caps the points it
+    may expand); other sources are restricted to supp(x), at most
+    ``max_support`` points, and normed by :func:`pair_norm`.
+    """
+    if not x.support_size:
         raise SupportError("family_norm needs a vector with nonempty support")
-    members = restrict_family(f, supp, max_pairs)
-    best = -1.0
-    best_label = ""
-    for rp in members:
-        v = pair_norm(x, rp, f.p)
+    pairs = descriptor_members(f, max_pairs)
+    if pairs is None:
+        members = restrict_family(f, x.support(cap=max_support), max_pairs)
+        scored = [(pair_norm(x, rp, f.p), rp.label) for rp in members]
+    else:
+        scored = [
+            (member_norm_intensional(x, m.partition, m.weight, f.p, f.arity, max_support),
+             m.label)
+            for m in pairs
+        ]
+    best, best_label = -1.0, ""
+    for v, label in scored:
         if v > best:
-            best, best_label = v, rp.label
-    return NormResult(value=best, argmax_member=best_label, candidates_evaluated=len(members))
+            best, best_label = v, label
+    return NormResult(value=best, argmax_member=best_label, candidates_evaluated=len(scored))
 
 
 # ---------------------------------------------------------------------------
@@ -115,106 +150,64 @@ def member_norm_intensional(
 ) -> float:
     """Pair norm from descriptors, with run-length blocks in closed form.
 
-    A block whose running coordinate the partition does not fix and whose
-    weight is constant along the run contributes K·c²·w² to one cell.  A
-    block whose running coordinate is fixed splits into K cells of its
-    own — valid in closed form only when nothing else meets those cells,
-    which is checked structurally; on any overlap (or a weight varying
-    along the run) the block is expanded, subject to ``expand_cap``.
+    The value is bit-identical to :func:`pair_norm` on the member's
+    restriction to supp(x).  A block whose weight is constant along its
+    run is kept whole.  If the partition does not fix its running
+    coordinate, its K points share one cell and add K·c²w² there; if it
+    does, they form K cells of their own, each adding (c²w²)^{p/2}.  Both
+    multiples enter fsum as exact float parts.  Those K cells must meet
+    nothing else, which is checked on their projections to the fixed
+    coordinates; on a clash every block is expanded, as are blocks whose
+    weight varies along the run, at most ``expand_cap`` points in all.
     """
-    hp = p / 2.0
-    fixed = sorted(partition.fixed_coords(arity))
-    fixed_set = frozenset(fixed)
+    if x.arity != arity:
+        raise ArityError(f"vector arity {x.arity} does not match the family arity {arity}")
+    if not x.support_size:
+        raise SupportError("a member norm needs a vector with nonempty support")
+    fixed = [q - 1 for q in sorted(partition.fixed_coords(arity))]
     wdeps = weight.depends_on(arity)
 
     def key_of(idx: Index) -> tuple[int, ...]:
-        return tuple(idx[q - 1] for q in fixed)
+        return tuple(idx[q] for q in fixed)
 
-    cells: dict[tuple[int, ...], list[float]] = {}
-    # (key with the running slot masked, slot position, lo, hi, K·t^{hp})
-    split_blocks: list[tuple[tuple[int, ...], int, int, int, float]] = []
-    expanded: list[tuple[Index, float]] = list(x.entries)
+    def term_at(c: float, idx: Index) -> float:
+        return term(c, check_weight_value(weight.value_at(idx)))
 
+    lumps, splits, varying = [], [], []
     for blk in x.blocks:
         rc = blk.running_coord
-        if rc in wdeps:
-            expanded.extend((b, blk.coeff) for b in _expanded_points(blk, expand_cap))
-            continue
-        wv = weight.value_at(blk.point_at(blk.lo))
-        t = term(blk.coeff, wv)
-        if rc not in fixed_set:
-            cells.setdefault(key_of(blk.template), []).append(blk.size * t)
-        else:
-            slot = fixed.index(rc)
-            masked = list(key_of(blk.template))
-            masked[slot] = -1
-            split_blocks.append((tuple(masked), slot, blk.lo, blk.hi, blk.size * pow(t, hp)))
+        (varying if rc in wdeps else splits if rc - 1 in fixed else lumps).append(blk)
+    points = list(x.entries) + _expand(varying, expand_cap)
+    # a split block's cells, as a block on the fixed coordinates
+    cells_of = [
+        ConstantBlock(key_of(b.template), fixed.index(b.running_coord - 1) + 1, b.lo, b.hi, 1.0)
+        for b in splits
+    ]
+    if cells_of and _clash(
+        cells_of, [key_of(b) for b, _ in points] + [key_of(blk.template) for blk in lumps]
+    ):
+        lumps, splits = [], []
+        points = list(x.entries) + _expand(x.blocks, expand_cap)
 
-    def hits_split(key: tuple[int, ...]) -> bool:
-        for masked, slot, lo, hi, _ in split_blocks:
-            probe = list(key)
-            v = probe[slot]
-            probe[slot] = -1
-            if tuple(probe) == masked and lo <= v <= hi:
-                return True
-        return False
-
-    # split blocks must not collide with each other either
-    clash = False
-    for i, (m1, s1, lo1, hi1, _) in enumerate(split_blocks):
-        for m2, s2, lo2, hi2, _ in split_blocks[i + 1 :]:
-            if s1 == s2 and m1 == m2 and not (hi1 < lo2 or hi2 < lo1):
-                clash = True
-            elif s1 != s2:
-                p1 = list(m1)
-                p2 = list(m2)
-                if p1[s2] != -1 and p2[s1] != -1:
-                    v2_in_1 = lo1 <= p2[s1] <= hi1
-                    v1_in_2 = lo2 <= p1[s2] <= hi2
-                    rest1 = [v for q, v in enumerate(p1) if q not in (s1, s2)]
-                    rest2 = [v for q, v in enumerate(p2) if q not in (s1, s2)]
-                    if v2_in_1 and v1_in_2 and rest1 == rest2:
-                        clash = True
-
-    for b, _ in expanded:
-        if hits_split(key_of(b)):
-            clash = True
-            break
-
-    if clash:
-        # fall back: everything extensional
-        expanded = list(x.entries)
-        for blk in x.blocks:
-            expanded.extend((b, blk.coeff) for b in _expanded_points(blk, expand_cap))
-        cells = {}
-        split_blocks = []
-        for b, c in expanded:
-            cells.setdefault(key_of(b), []).append(term(c, weight.value_at(b)))
-        # re-sort within cells by point for determinism
-        outer_terms = [pow(math.fsum(ts), hp) for _, ts in sorted(cells.items())]
-        return _finish(outer_terms, p)
-
-    for b, c in expanded:
-        cells.setdefault(key_of(b), []).append(term(c, weight.value_at(b)))
-
-    outer_terms = [pow(math.fsum(ts), hp) for _, ts in sorted(cells.items())]
-    outer_terms.extend(contrib for *_ , contrib in split_blocks)
-    return _finish(outer_terms, p)
+    cells: dict[tuple[int, ...], list[float]] = {}
+    for b, c in points:
+        cells.setdefault(key_of(b), []).append(term_at(c, b))
+    for blk in lumps:
+        t = term_at(blk.coeff, blk.point_at(blk.lo))
+        cells.setdefault(key_of(blk.template), []).extend(_exact_multiple(blk.size, t))
+    singletons = [(blk.size, term_at(blk.coeff, blk.point_at(blk.lo))) for blk in splits]
+    return canonical_value(list(cells.values()), p, singletons)
 
 
-def _finish(outer_terms: list[float], p: float) -> float:
-    if not outer_terms:
-        return 0.0
-    value = pow(math.fsum(outer_terms), 1.0 / p)
-    if not math.isfinite(value):
-        raise NormOverflowError("norm evaluation overflowed")
-    return value
+def _clash(cells_of: list[ConstantBlock], keys: list[tuple[int, ...]]) -> bool:
+    """Whether split blocks' cells meet each other or any of the keys."""
+    return any(
+        blocks_overlap(a, b) for i, a in enumerate(cells_of) for b in cells_of[i + 1 :]
+    ) or any(a.contains(k) for a in cells_of for k in keys)
 
 
-def _expanded_points(blk, cap: int):
-    if blk.size > cap:
-        raise CapacityError(
-            f"block of {blk.size} points cannot be evaluated in closed form "
-            f"here and exceeds the expansion cap {cap}"
-        )
-    return blk.points()
+def _expand(blocks: Sequence[ConstantBlock], cap: int) -> list[tuple[Index, float]]:
+    size = sum(blk.size for blk in blocks)
+    if size > cap:
+        raise CapacityError(f"{size} block points need expanding here, more than the cap {cap}")
+    return [(b, blk.coeff) for blk in blocks for b in blk.points()]

@@ -30,6 +30,7 @@ __all__ = [
     "PairPW",
     "RestrictedPair",
     "restrict_pair",
+    "check_weight_value",
     "canonical_cells",
 ]
 
@@ -108,6 +109,13 @@ class PairGrouping(PartitionDescriptor):
         )
 
 
+def check_weight_value(v: float) -> float:
+    """A member's weight at a point must lie in (0, 1]; return it unchanged."""
+    if not (0.0 < v <= 1.0):
+        raise ValidationError(f"restricted weight {v!r} outside (0, 1]")
+    return v
+
+
 def canonical_cells(cells: Sequence[Sequence[Index]]) -> tuple[tuple[Index, ...], ...]:
     """Sort points within cells and cells by least point."""
     normed = [tuple(sorted(c)) for c in cells]
@@ -157,23 +165,19 @@ class PairPW:
 class RestrictedPair:
     """A member restricted to a finite support: explicit cells and weights.
 
-    ``support`` is sorted; ``weight_values`` aligns with it.  ``source``
-    optionally records the descriptor pair the restriction came from,
-    enabling closed-form evaluation of run-length blocks.
+    ``support`` is sorted; ``weight_values`` aligns with it.
     """
 
     support: tuple[Index, ...]
     cells: tuple[tuple[Index, ...], ...]
     weight_values: tuple[float, ...]
     label: str = ""
-    source: tuple[PartitionDescriptor, Weight] | None = None
 
     def __post_init__(self) -> None:
         if len(self.support) != len(self.weight_values):
             raise ValidationError("one weight value per support point required")
         for v in self.weight_values:
-            if not (0.0 < v <= 1.0):
-                raise ValidationError(f"restricted weight {v!r} outside (0, 1]")
+            check_weight_value(v)
 
     def weight_at(self, b: Index) -> float:
         return self.weight_values[self.support.index(b)]
@@ -196,7 +200,8 @@ class RestrictedPair:
     def restrict_to(self, sub: Sequence[Index], label: str | None = None) -> "RestrictedPair":
         """Intersect with a subset of the support."""
         subset = sorted(set(sub))
-        missing = [b for b in subset if b not in set(self.support)]
+        have = set(self.support)
+        missing = [b for b in subset if b not in have]
         if missing:
             raise SupportError(f"points {missing} outside the restricted support")
         wmap = self.weight_map()
@@ -208,7 +213,6 @@ class RestrictedPair:
             cells=canonical_cells(cells),
             weight_values=tuple(wmap[b] for b in subset),
             label=self.label if label is None else label,
-            source=self.source,
         )
 
 
@@ -236,20 +240,16 @@ def restrict_pair(pair: PairPW, support: Sequence[Index], arity: int) -> Restric
         keep = set(pts)
         cells = [tuple(b for b in c if b in keep) for c in part.cells]
         cells = [c for c in cells if c]
-        source = None
     else:
         fixed = [q - 1 for q in sorted(part.fixed_coords(arity))]
         groups: dict[tuple[int, ...], list[Index]] = {}
         for b in pts:
             groups.setdefault(tuple(b[q] for q in fixed), []).append(b)
         cells = [tuple(g) for g in groups.values()]
-        source = None
 
     w = pair.weight
     if isinstance(w, Weight):
         values = tuple(w.value_at(b) for b in pts)
-        if not isinstance(part, RestrictedPartition):
-            source = (part, w)
     else:
         try:
             values = tuple(float(w[b]) for b in pts)
@@ -261,5 +261,4 @@ def restrict_pair(pair: PairPW, support: Sequence[Index], arity: int) -> Restric
         cells=canonical_cells(cells),
         weight_values=values,
         label=pair.label,
-        source=source,
     )

@@ -27,7 +27,7 @@ from .families import (
     is_admissible,
 )
 from .partitions import CoordinateGrouping, Discrete, Indiscrete, PairPW
-from .weights import Constant, Geometric, Min, One, Weight, _branches
+from .weights import Constant, Geometric, Min, One, Weight, symbolic_tail_queries
 
 __all__ = [
     "IsoType",
@@ -337,20 +337,18 @@ def classify_rosenthal(w: Weight, p: float) -> Classification:
     decided from the weight's symbolic tail behaviour."""
     if not (p > 2.0):
         raise ValidationError(f"exponent p must be > 2, got {p}")
-    e = 2.0 * p / (p - 2.0)
     try:
-        branches = _branches(w, e)
+        tail = symbolic_tail_queries(w, p)
     except UndecidableWeightError as exc:
         return Classification(IsoType.UNKNOWN, f"undecidable weight: {exc}")
-    kinds = {b for b in branches}
-    if "star" in kinds:
+    if tail.star:
         return Classification(
             IsoType.XP,
             "some branch keeps arbitrarily small weights with divergent power sum",
         )
-    if kinds == {"inf_positive"}:
+    if tail.inf_positive:
         return Classification(IsoType.L2, "weights bounded below")
-    if kinds == {"power_sum_finite"}:
+    if tail.power_sum_finite:
         return Classification(IsoType.LP, "summable weight powers")
     return Classification(
         IsoType.L2_PLUS_LP,

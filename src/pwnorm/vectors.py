@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 from .errors import CapacityError, SupportError, ValidationError
 from .indices import Index, check_index
 
-__all__ = ["ConstantBlock", "SparseVector", "unit_vector"]
+__all__ = ["ConstantBlock", "SparseVector", "blocks_overlap", "unit_vector"]
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,8 @@ class ConstantBlock:
         return (self.running_coord, tuple(t))
 
 
-def _blocks_overlap(a: ConstantBlock, b: ConstantBlock) -> bool:
+def blocks_overlap(a: ConstantBlock, b: ConstantBlock) -> bool:
+    """Whether two blocks share a point (decided without expanding them)."""
     if a.key_profile() == b.key_profile():
         return not (a.hi < b.lo or b.hi < a.lo)
     if a.running_coord == b.running_coord:
@@ -143,7 +144,7 @@ class SparseVector:
                 )
         for i, a in enumerate(self.blocks):
             for b in self.blocks[i + 1 :]:
-                if _blocks_overlap(a, b):
+                if blocks_overlap(a, b):
                     raise ValidationError(
                         f"blocks overlap: {a.key_profile()} [{a.lo},{a.hi}] and "
                         f"{b.key_profile()} [{b.lo},{b.hi}]"

@@ -7,7 +7,6 @@ import oracles
 from conftest import rel_err
 from pwnorm.errors import ValidationError
 from pwnorm.experiments import (
-    EXTENSIONAL_CUTOFF,
     RosenthalResult,
     YnParams,
     rosenthal_mc,
@@ -139,15 +138,17 @@ def test_max_sum_is_exactly_the_family_norm():
     prm = yn_default_params()
     x = yn_witness(prm)
     fam = make_Yn(prm.p, prm.n, prm.w)
-    assert x.support_size <= EXTENSIONAL_CUTOFF
     assert max(yn_sums(x, fam)) == family_norm(x, fam).value
 
 
-def test_sums_closed_form_beyond_cutoff():
-    prm = yn_default_params(n=2, eps=0.05)
+def test_max_sum_is_the_family_norm_on_a_large_witness():
+    # 368,643 points: more than family_norm's default cap on expanded points
+    prm = yn_default_params(n=3, eps=0.1)
     x = yn_witness(prm)
-    assert x.support_size > EXTENSIONAL_CUTOFF
-    s = yn_sums(x, make_Yn(prm.p, prm.n, prm.w))
+    fam = make_Yn(4.0, 3, PowerDecay(0.25))
+    assert x.support_size == 368_643
+    s = yn_sums(x, fam)
+    assert max(s) == family_norm(x, fam).value
     o = oracles.yn_expected_sums(prm)
     assert all(rel_err(a, b) < 1e-12 for a, b in zip(s, o))
 

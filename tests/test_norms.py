@@ -1,12 +1,19 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import oracles
 from conftest import lp_norm_of, rel_err, small_families, sparse_vectors
-from pwnorm.errors import NormOverflowError, SupportError
+from pwnorm.cli import main
+from pwnorm.errors import (
+    ArityError,
+    CapacityError,
+    NormOverflowError,
+    SupportError,
+    ValidationError,
+)
 from pwnorm.families import lattice_member_weight, restrict_family
 from pwnorm.norms import (
     canonical_value,
@@ -16,6 +23,7 @@ from pwnorm.norms import (
     term,
 )
 from pwnorm.partitions import (
+    CoordinateGrouping,
     Discrete,
     Indiscrete,
     PairGrouping,
@@ -29,10 +37,11 @@ from pwnorm.spaces import (
     make_rosenthal_xp,
     make_sum_l2_lp,
     make_admissible,
+    make_Yn,
     tensor_family,
 )
-from pwnorm.vectors import ConstantBlock, SparseVector, unit_vector
-from pwnorm.weights import Constant, One, PowerDecay
+from pwnorm.vectors import ConstantBlock, SparseVector, blocks_overlap, unit_vector
+from pwnorm.weights import Constant, CoordinateLift, Geometric, One, PowerDecay, Product
 from pwnorm.experiments import yn_default_params, yn_witness
 
 
@@ -134,9 +143,9 @@ def test_intensional_split_block():
     x = SparseVector(2, blocks=(b,))
     v = member_norm_intensional(x, Discrete(), One(), 4.0, 2)
     expected = (64 * (0.25 ** 4.0)) ** 0.25
-    assert rel_err(v, expected) < 1e-12
+    assert v == expected
     flat = member_norm_intensional(x.expand(), Discrete(), One(), 4.0, 2)
-    assert rel_err(v, flat) < 1e-12
+    assert v == flat
 
 
 def test_intensional_lump_block_bitwise():
@@ -170,8 +179,117 @@ def test_family_norm_on_blocks_matches_expanded():
     fam = make_Yn(prm.p, prm.n, prm.w)
     lazy = family_norm(x, fam)
     flat = family_norm(x.expand(), fam)
-    assert rel_err(lazy.value, flat.value) < 1e-12
+    assert lazy.value == flat.value
     assert lazy.argmax_member == flat.argmax_member == "I={1,2}"
+
+
+def test_intensional_lump_meeting_a_split_block():
+    # the lump block's one cell {first coordinate 3} is also a cell of the
+    # split block: 4 + 1 unit terms there, 1 in each of three more cells
+    x = SparseVector(
+        2,
+        blocks=(
+            ConstantBlock((3, 1), 2, 1, 4, 1.0),
+            ConstantBlock((1, 6), 1, 2, 5, 1.0),
+        ),
+    )
+    part = CoordinateGrouping(frozenset({1}))
+    v = member_norm_intensional(x, part, One(), 4.0, 2)
+    assert v == pair_norm(x, restrict_pair(PairPW(part, One()), x.support(), 2), 4.0)
+    assert v == 28.0 ** 0.25
+
+
+def test_intensional_overflow_is_a_norm_overflow_error(tmp_path, capsys):
+    x = SparseVector(1, (((1,), 1e150),))
+    with pytest.raises(NormOverflowError):
+        member_norm_intensional(x, Discrete(), One(), 4.0, 1)
+    with pytest.raises(NormOverflowError):
+        family_norm(x, make_lp(4.0))
+    block = SparseVector(1, blocks=(ConstantBlock((1,), 1, 1, 4, 1e77),))
+    for part in (Indiscrete(), Discrete()):  # a lump and a split block
+        with pytest.raises(NormOverflowError):
+            member_norm_intensional(block, part, One(), 4.0, 1)
+    cfg = tmp_path / "space.cfg"
+    cfg.write_text("p = 4\nspace = lp\n")
+    vec = tmp_path / "x.vec"
+    vec.write_text("1 : 1e150\n")
+    assert main(["--command", "norm", "--config", str(cfg), "--vector", str(vec)]) == 2
+    assert "overflowed" in capsys.readouterr().err
+
+
+def test_descriptor_path_keeps_the_restriction_checks():
+    prm = yn_default_params()
+    x = yn_witness(prm)
+    fam = make_Yn(4.0, 3, prm.w)
+    with pytest.raises(CapacityError):
+        family_norm(x, fam, max_pairs=2)
+    with pytest.raises(ArityError):
+        family_norm(unit_vector((1, 1)), fam)
+    with pytest.raises(SupportError):
+        member_norm_intensional(SparseVector(1), Discrete(), One(), 4.0, 1)
+    # geometric decay underflows to 0.0 at 1100, outside (0, 1]
+    far = SparseVector(1, (((1100,), 1.0),))
+    with pytest.raises(ValidationError, match="restricted weight 0.0"):
+        family_norm(far, make_l2(4.0, Geometric(0.5)))
+    # a weight varying along the run forces expansion, capped by max_support
+    run = SparseVector(1, blocks=(ConstantBlock((1,), 1, 1, 100, 1.0),))
+    with pytest.raises(CapacityError):
+        family_norm(run, make_l2(4.0, PowerDecay(0.5)), max_support=99)
+    assert family_norm(run, make_l2(4.0, PowerDecay(0.5)), max_support=100).value > 0
+
+
+WEIGHTS_2D = [
+    One(),
+    Constant(0.3),
+    CoordinateLift((1,), PowerDecay(0.7)),
+    CoordinateLift((2,), PowerDecay(0.4)),
+    Product((Constant(0.9), CoordinateLift((2,), Geometric(0.8)))),
+]
+PARTITIONS_2D = [
+    Discrete(),
+    Indiscrete(),
+    CoordinateGrouping(frozenset({1})),
+    CoordinateGrouping(frozenset({2})),
+]
+block_coeffs = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@st.composite
+def blocked_vectors(draw):
+    """Arity-2 vectors with a few entries and lump or split blocks."""
+    coord = st.integers(min_value=1, max_value=9)
+    pts = draw(st.lists(st.tuples(coord, coord), max_size=5, unique=True))
+    entries = tuple((b, draw(block_coeffs)) for b in pts)
+    blocks = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        lo = draw(st.integers(min_value=1, max_value=9))
+        blocks.append(
+            ConstantBlock(
+                (draw(coord), draw(coord)),
+                draw(st.integers(min_value=1, max_value=2)),
+                lo,
+                lo + draw(st.integers(min_value=0, max_value=40)),
+                draw(block_coeffs),
+            )
+        )
+    kept: list[ConstantBlock] = []
+    for blk in blocks:
+        if not any(blocks_overlap(blk, k) for k in kept):
+            kept.append(blk)
+    entries = tuple((b, c) for b, c in entries if not any(k.contains(b) for k in kept))
+    assume(entries or kept)
+    return SparseVector(2, entries, tuple(kept))
+
+
+@given(
+    blocked_vectors(),
+    st.sampled_from(PARTITIONS_2D),
+    st.sampled_from(WEIGHTS_2D),
+    st.sampled_from([2.5, 3.0, 4.0, 5.5]),
+)
+def test_closed_form_equals_restricted_pair_norm(x, part, w, p):
+    rp = restrict_pair(PairPW(part, w), x.support(), 2)
+    assert member_norm_intensional(x, part, w, p, 2) == pair_norm(x, rp, p)
 
 
 # --- axioms ------------------------------------------------------------------

@@ -78,14 +78,12 @@ def test_restrict_pair_from_descriptor_and_weight():
     assert rp.cells == (((1, 1), (1, 2)), ((2, 1), (2, 2)))
     assert rp.weight_at((2, 2)) == 0.5
     assert rp.label == "rows"
-    assert rp.source == (pair.partition, pair.weight)
 
 
 def test_restrict_pair_from_mapping_weight():
     pair = PairPW(Indiscrete(), {b: 0.5 for b in PTS}, "halves")
     rp = restrict_pair(pair, PTS, 2)
     assert rp.weight_map() == {b: 0.5 for b in PTS}
-    assert rp.source is None
     with pytest.raises(SupportError, match="no weight value"):
         restrict_pair(PairPW(Indiscrete(), {PTS[0]: 0.5}, "partial"), PTS, 2)
 
