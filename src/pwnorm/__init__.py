@@ -12,7 +12,6 @@ from .envelope import (
     has_envelope_property,
     refine,
     xp_envelope_subset,
-    xp_envelope_threshold,
 )
 from .errors import (
     ArityError,

@@ -31,7 +31,7 @@ from .envelope import (
 )
 from .errors import CapacityError, ParseError, PwnormError, ValidationError
 from .experiments import rosenthal_mc, yn_default_params, yn_report
-from .norms import family_norm
+from .norms import DEFAULT_MAX_SUPPORT, family_norm
 from .spaces import classify_rosenthal
 from .vectors import ConstantBlock, SparseVector
 from .weights import PowerDecay
@@ -248,7 +248,7 @@ def _cmd_classify(args) -> int:
 def _cmd_check_envelope(args) -> int:
     p, expr, family = _load_family(args)
     x = read_vector(_need(args, "vector", "--vector"), family.arity)
-    support = x.support()
+    support = x.support(cap=DEFAULT_MAX_SUPPORT)
     check = has_envelope_property(family, support, max_members=args.cap_members)
     if check.holds:
         kind = "exhaustively" if check.exhaustive else "on sampled refinements"

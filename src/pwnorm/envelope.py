@@ -28,16 +28,13 @@ from array import array
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
-import numpy as np
-
-from .errors import CapacityError, NormOverflowError, SupportError, ValidationError
+from .errors import CapacityError, NormOverflowError, ValidationError
 from .families import (
     DEFAULT_MAX_PAIRS,
     Family,
-    cell_restrictions,
     glue_restrictions,
+    refinement_choices,
     restrict_family,
-    set_partitions,
 )
 from .indices import Index
 from .norms import DEFAULT_MAX_SUPPORT, NormResult, canonical_value, family_norm, pair_norm, term
@@ -54,7 +51,6 @@ __all__ = [
     "envelope_norm_exact",
     "envelope_lower_bound",
     "xp_envelope_subset",
-    "xp_envelope_threshold",
     "distortion_certificate",
     "assignment_pair",
 ]
@@ -160,8 +156,7 @@ def has_envelope_property(
 
     if len(pts) <= max_support and len(members) <= max_members:
         checked = 0
-        for cells in set_partitions(pts):
-            per_cell = [cell_restrictions(members, q) for q in cells]
+        for cells, per_cell in refinement_choices(members, pts):
             for picks in itertools.product(*per_cell):
                 checked += 1
                 glued = glue_restrictions(pts, [sub for sub, _ in picks])
@@ -424,31 +419,41 @@ class SubsetResult:
 
 
 def _subset_canonical(
-    a: Sequence[float], w: Sequence[float], mask: int, p: float
+    a: Sequence[float], w: Sequence[float], chosen: Sequence[int], pooled: Sequence[int], p: float
 ) -> float:
-    n = len(a)
-    q = [i for i in range(n) if mask >> i & 1]
-    comp = [i for i in range(n) if not mask >> i & 1]
-    cells = [[i] for i in q]
-    if comp:
-        cells.append(comp)
-    cells.sort(key=lambda cell: cell[0])
-    qset = set(q)
-    cell_terms = []
-    for cell in cells:
-        if len(cell) == 1 and cell[0] in qset:
-            cell_terms.append([term(a[cell[0]], 1.0)])
-        else:
-            cell_terms.append([term(a[i], w[i]) for i in cell])
-    return canonical_value(cell_terms, p)
+    """Canonical value with the chosen coordinates as singleton cells at
+    weight 1 and the pooled ones as one cell under their weights."""
+    cells = [[term(a[i], 1.0)] for i in chosen]
+    if pooled:
+        cells.append([term(a[i], w[i]) for i in pooled])
+    return canonical_value(cells, p)
 
 
-def xp_envelope_subset(
-    a: Sequence[float], w: Sequence[float], p: float, max_n: int = 24
-) -> SubsetResult:
+def xp_envelope_subset(a: Sequence[float], w: Sequence[float], p: float) -> SubsetResult:
     """Exact envelope norm of the two-member family (all points singleton
     with weight 1 / one cell with the given weights):
     max over subsets q of (Σ_{i∈q}|a_i|^p + (Σ_{i∉q}a_i²w_i²)^{p/2})^{1/p}.
+
+    The m nonzero coordinates are sorted by |a_i|^{p-2}/w_i² descending
+    (stably, so ties keep index order) and the m+1 prefixes of that order
+    are evaluated canonically; ``candidates_evaluated`` counts them.
+
+    The best prefix is the best subset.  Relax q to t ∈ [0,1]^n and fix
+    the mass T = Σ t_i a_i²w_i² moved out of the pooled cell.  The best
+    Σ t_i|a_i|^p at that mass is a fractional knapsack whose value per
+    unit mass is the sort key, so greedy filling in key order solves it
+    (Dantzig, Oper. Res. 1957): its value g(T) is concave and piecewise
+    linear with breakpoints at the prefix masses.  On each piece
+    g(T) + (S−T)^{p/2} is linear plus strictly convex, so its maximum
+    sits at a breakpoint, where the greedy t is the indicator of a
+    prefix.  Zero coordinates carry no mass and no value either way.
+
+    Ties: the value is the canonical value of the best prefix, and the
+    subset is the first prefix that attains it (the shortest), so it
+    never holds a zero coordinate.  Subsets whose real values lie within
+    a few units in the last place of the maximum can round either way;
+    there a non-prefix subset could in principle evaluate a last bit
+    higher, and the prefix is still what is reported.
     """
     a = [float(v) for v in a]
     w = [float(v) for v in w]
@@ -457,101 +462,31 @@ def xp_envelope_subset(
         raise ValidationError("need equally many coefficients and weights, at least one")
     if not (p > 2.0):
         raise ValidationError(f"exponent p must be > 2, got {p}")
+    for v in a:
+        if not math.isfinite(v):
+            raise ValidationError(f"coefficient {v!r} is not finite")
     for v in w:
         if not (0.0 < v <= 1.0):
             raise ValidationError(f"weight {v!r} outside (0, 1]")
-    if n > max_n:
-        raise CapacityError(f"{n} coordinates exceed the subset cap {max_n}")
 
-    # zero coordinates contribute nothing either way; strip them so they
-    # cannot inflate the tie set, and report them outside the subset
-    live = [i for i in range(n) if a[i] != 0.0]
-    if len(live) < n:
-        if not live:
-            return SubsetResult(value=0.0, subset=(), candidates_evaluated=1)
-        inner = xp_envelope_subset([a[i] for i in live], [w[i] for i in live], p, max_n)
-        return SubsetResult(
-            value=inner.value,
-            subset=tuple(live[j - 1] + 1 for j in inner.subset),
-            candidates_evaluated=inner.candidates_evaluated,
-        )
+    def ratio(i: int) -> float:
+        ww = w[i] * w[i]
+        try:
+            # w_i² underflows to 0 only where the pooled term a_i²w_i² is 0
+            # as well; overflow means |a_i| > 1 and |a_i|^p overflows too
+            return abs(a[i]) ** (p - 2) / ww if ww > 0.0 else math.inf
+        except OverflowError as exc:
+            raise NormOverflowError(f"coefficient {a[i]!r} to the power p overflows") from exc
 
-    hp = p / 2.0
-    low = min(n, 20)
-    hi_bits = n - low
-    ap = np.array([abs(v) ** p for v in a])
-    t2 = np.array([term(a[i], w[i]) for i in range(n)])
-
-    P_low = np.zeros(1 << low)
-    S_low = np.zeros(1 << low)
-    for i in range(low):
-        half = 1 << i
-        P_low[half : 2 * half] = P_low[:half] + ap[i]
-        S_low[half : 2 * half] = S_low[:half] + t2[i]
-    S_low_rev = S_low[::-1].copy()  # S of the low-bit complement
-
-    best = -math.inf
-    cand: list[int] = []
-    full_low = (1 << low) - 1
-    for top in range(1 << hi_bits):
-        p_off = sum(ap[low + j] for j in range(hi_bits) if top >> j & 1)
-        s_off = sum(t2[low + j] for j in range(hi_bits) if not top >> j & 1)
-        vals = (P_low + p_off) + (S_low_rev + s_off) ** hp
-        m = float(vals.max())
-        if m > best:
-            best = m
-        idx = np.nonzero(vals >= best * (1.0 - _NEAR_BAND))[0]
-        cand.extend((int(top) << low | int(i)) for i in idx)
-
-    cand = [
-        mask
-        for mask in cand
-        if _approx_total(P_low, S_low_rev, ap, t2, mask, low, hi_bits, hp)
-        >= best * (1.0 - _NEAR_BAND)
-    ]
+    order = sorted((i for i in range(n) if a[i] != 0.0), key=ratio, reverse=True)
     best_val = -1.0
-    best_mask = 0
-    for mask in sorted(cand):
-        v = _subset_canonical(a, w, mask, p)
+    best_len = 0
+    for j in range(len(order) + 1):
+        v = _subset_canonical(a, w, order[:j], order[j:], p)
         if v > best_val:
-            best_val, best_mask = v, mask
-    subset = tuple(i + 1 for i in range(n) if best_mask >> i & 1)
-    return SubsetResult(value=best_val, subset=subset, candidates_evaluated=1 << n)
-
-
-def _approx_total(P_low, S_low_rev, ap, t2, mask, low, hi_bits, hp) -> float:
-    lowm = mask & ((1 << low) - 1)
-    top = mask >> low
-    p_off = sum(ap[low + j] for j in range(hi_bits) if top >> j & 1)
-    s_off = sum(t2[low + j] for j in range(hi_bits) if not top >> j & 1)
-    return float(P_low[lowm] + p_off + (S_low_rev[lowm] + s_off) ** hp)
-
-
-def xp_envelope_threshold(
-    a: Sequence[float], w: Sequence[float], p: float
-) -> SubsetResult:
-    """Fast candidate rule for the subset max: sort by |a_i|^{p-2}/w_i²
-    descending and evaluate the n+1 prefixes.  Always a valid lower
-    bound; empirically it has matched the exact subset max on every
-    tested instance, but it is used only as a heuristic.
-    """
-    a = [float(v) for v in a]
-    w = [float(v) for v in w]
-    n = len(a)
-    if n == 0 or len(w) != n:
-        raise ValidationError("need equally many coefficients and weights, at least one")
-    order = sorted(range(n), key=lambda i: -(abs(a[i]) ** (p - 2) / (w[i] * w[i])))
-    best_val = -1.0
-    best_mask = 0
-    for j in range(n + 1):
-        mask = 0
-        for i in order[:j]:
-            mask |= 1 << i
-        v = _subset_canonical(a, w, mask, p)
-        if v > best_val:
-            best_val, best_mask = v, mask
-    subset = tuple(i + 1 for i in range(n) if best_mask >> i & 1)
-    return SubsetResult(value=best_val, subset=subset, candidates_evaluated=n + 1)
+            best_val, best_len = v, j
+    subset = tuple(sorted(i + 1 for i in order[:best_len]))
+    return SubsetResult(value=best_val, subset=subset, candidates_evaluated=len(order) + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -261,6 +261,7 @@ class RosenthalResult:
 
 
 _MC_CHUNK = 1 << 16
+_MC_MAX_VARIABLES = 64  # 65,536 x 64 float64 draws are 32 MiB per array
 
 
 def rosenthal_mc(
@@ -276,9 +277,12 @@ def rosenthal_mc(
         max_q (Σ_{i∈q} E|f_i|^p + (Σ_{i∉q} E f_i²)^{p/2})^{1/p},
 
     which reduces to the two-member envelope with coefficients a·q^{1/p}
-    and weights q^{1/2-1/p}.  Sampling is chunked with independently
-    seeded generators per chunk and the chunk sums are combined exactly,
-    so the estimate is reproducible and independent of chunk order.
+    and weights q^{1/2-1/p}; :func:`~pwnorm.envelope.xp_envelope_subset`
+    computes it exactly from n+1 ratio-sorted prefixes.  Sampling is
+    chunked with independently seeded generators per chunk and the chunk
+    sums are combined exactly, so the estimate is reproducible and
+    independent of chunk order.  Each chunk draws 65,536 × N uniforms and
+    builds arrays of that shape, so N is capped at 64 variables.
     """
     if not (p > 2.0):
         raise ValidationError(f"exponent p must be > 2, got {p}")
@@ -287,8 +291,11 @@ def rosenthal_mc(
     pairs = [(float(a), float(q)) for a, q in variables]
     if not pairs:
         raise ValidationError("need at least one variable")
-    if len(pairs) > 20:
-        raise ValidationError("at most 20 variables are supported")
+    if len(pairs) > _MC_MAX_VARIABLES:
+        raise ValidationError(
+            f"at most {_MC_MAX_VARIABLES} variables are supported: each sampling "
+            f"chunk holds {_MC_CHUNK} x N floats per array"
+        )
     for a, q in pairs:
         if not math.isfinite(a):
             raise ValidationError(f"amplitude {a!r} is not finite")

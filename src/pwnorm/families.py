@@ -48,7 +48,7 @@ __all__ = [
     "subset_label",
     "lattice_member_weight",
     "glue_restrictions",
-    "cell_restrictions",
+    "refinement_choices",
     "set_partitions",
     "sum_embed",
     "sum_split_support",
@@ -386,20 +386,31 @@ def glue_restrictions(
     )
 
 
-def cell_restrictions(
-    members: Sequence[RestrictedPair], cell: Sequence[Index]
-) -> list[tuple[RestrictedPair, str]]:
-    """The distinct restrictions of the members to one cell, each with the
-    label of the first member (in the given order) that yields it.
+def refinement_choices(
+    members: Sequence[RestrictedPair], pts: Sequence[Index]
+) -> Iterator[tuple[list[list[Index]], list[list[tuple[RestrictedPair, str]]]]]:
+    """Every set partition of ``pts`` with, per cell, the distinct
+    restrictions of the members to that cell, each with the label of the
+    first member (in the given order) that yields it.
 
     Per cell, member choices matter only through their restriction to
-    the cell, so refinements are enumerated over these.
+    the cell, so refinements are enumerated over these.  They are
+    computed once per distinct cell: the Bell(n) partitions share only
+    2^n − 1 cells.
     """
-    seen: dict[tuple, tuple[RestrictedPair, str]] = {}
-    for rp in members:
-        sub = rp.restrict_to(cell)
-        seen.setdefault(sub.canonical_key(), (sub, rp.label))
-    return list(seen.values())
+    memo: dict[tuple[Index, ...], list[tuple[RestrictedPair, str]]] = {}
+    for cells in set_partitions(pts):
+        per_cell = []
+        for q in cells:
+            key = tuple(q)
+            if key not in memo:
+                seen: dict[tuple, tuple[RestrictedPair, str]] = {}
+                for rp in members:
+                    sub = rp.restrict_to(q)
+                    seen.setdefault(sub.canonical_key(), (sub, rp.label))
+                memo[key] = list(seen.values())
+            per_cell.append(memo[key])
+        yield cells, per_cell
 
 
 def _restrict_envelope(
@@ -409,8 +420,7 @@ def _restrict_envelope(
     pts = sorted(support)
     out: list[RestrictedPair] = []
     total = 0
-    for cells in set_partitions(pts):
-        per_cell = [cell_restrictions(inner, q) for q in cells]
+    for cells, per_cell in refinement_choices(inner, pts):
         combos = 1
         for choices in per_cell:
             combos *= len(choices)

@@ -9,6 +9,7 @@ treats them intensionally when the member weights permit.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
@@ -142,6 +143,14 @@ class SparseVector:
                 raise ValidationError(
                     f"block template arity {len(blk.template)} != vector arity {self.arity}"
                 )
+        # per running coordinate of some block: the entries' values at that
+        # coordinate, ascending, grouped by the rest of the index (masked
+        # as key_profile masks a block template)
+        runs: dict[int, dict[tuple, list[int]]] = {}
+        for rc in {blk.running_coord for blk in self.blocks}:
+            groups = runs[rc] = {}
+            for idx, _ in ents:
+                groups.setdefault(idx[: rc - 1] + (-1,) + idx[rc:], []).append(idx[rc - 1])
         for i, a in enumerate(self.blocks):
             for b in self.blocks[i + 1 :]:
                 if blocks_overlap(a, b):
@@ -149,9 +158,10 @@ class SparseVector:
                         f"blocks overlap: {a.key_profile()} [{a.lo},{a.hi}] and "
                         f"{b.key_profile()} [{b.lo},{b.hi}]"
                     )
-            for idx, _ in ents:
-                if a.contains(idx):
-                    raise ValidationError(f"entry {idx} lies inside a block")
+            vals = runs[a.running_coord].get(a.key_profile()[1], [])
+            j = bisect.bisect_left(vals, a.lo)
+            if j < len(vals) and vals[j] <= a.hi:
+                raise ValidationError(f"entry {a.point_at(vals[j])} lies inside a block")
         object.__setattr__(self, "entries", tuple(ents))
 
     @property

@@ -218,6 +218,17 @@ def test_check_envelope_property_holding(tmp_path, capsys):
     assert line == "envelope property holds exhaustively (9 refinements checked)"
 
 
+def test_check_envelope_property_caps_support_before_building_it(tmp_path, capsys):
+    rc = main(
+        ["--command", "check-envelope-property", "--config", _cfg(tmp_path, ENV_CFG),
+         "--vector", _vec(tmp_path, "block 1 1 1 1000000000 : 1\n")]
+    )
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "capacity error: support size 1000000000 exceeds cap 65536\n"
+    )
+
+
 # --- experiments -----------------------------------------------------------------
 
 

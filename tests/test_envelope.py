@@ -16,7 +16,6 @@ from pwnorm.envelope import (
     has_envelope_property,
     refine,
     xp_envelope_subset,
-    xp_envelope_threshold,
 )
 from pwnorm.errors import CapacityError, NormOverflowError, ValidationError
 from pwnorm.families import ExplicitMembers, Family, restrict_family
@@ -195,16 +194,18 @@ def test_distortion_accepts_precomputed_assignment():
 
 
 def test_xp_subset_golden():
+    # ratio order 3, 4, 1, 2: the best prefix is the gap optimum
     sub = xp_envelope_subset([1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.01, 0.01], 4.0)
     assert sub.value == 1.5650845800732873
     assert sub.subset == (3, 4)  # small-weight points go to the l_p part
-    assert sub.candidates_evaluated == 16
+    assert sub.candidates_evaluated == 5  # n+1 prefixes
 
 
 def test_xp_subset_strips_zeros_and_remaps():
     sub = xp_envelope_subset([0.0, 2.0, 0.0, 1.0], [0.5, 0.5, 0.5, 0.5], 4.0)
     assert sub.subset == (2, 4)
     assert rel_err(sub.value, 17.0 ** 0.25) < 1e-15
+    assert sub.candidates_evaluated == 3  # zeros are left out of the order
 
 
 def test_xp_subset_all_zero():
@@ -213,18 +214,33 @@ def test_xp_subset_all_zero():
     assert sub.subset == ()
 
 
-def test_xp_subset_size_cap():
-    with pytest.raises(CapacityError, match="cap"):
-        xp_envelope_subset([1.0] * 25, [0.5] * 25, 4.0)
-
-
-def test_threshold_is_a_lower_bound_and_finds_gap_optimum():
-    a, w = [1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.01, 0.01]
+def test_xp_subset_forty_coordinates_in_four_classes():
+    # equal (a, w) points are interchangeable, so enumerating how many of
+    # each class go to the l_p part covers every subset
+    classes = [(3.0, 0.2, 7), (-1.5, 0.9, 12), (0.7, 0.05, 10), (2.2, 0.6, 11)]
+    a = [c for c, _, k in classes for _ in range(k)]
+    w = [v for _, v, k in classes for _ in range(k)]
+    best = max(
+        oracles.canonical_norm(
+            [[(c, 1.0)] for (c, _, _), m in zip(classes, counts) for _ in range(m)]
+            + [[(c, v) for (c, v, k), m in zip(classes, counts) for _ in range(k - m)]],
+            4.0,
+        )
+        for counts in itertools.product(*(range(k + 1) for _, _, k in classes))
+    )
     sub = xp_envelope_subset(a, w, 4.0)
-    th = xp_envelope_threshold(a, w, 4.0)
-    assert th.value == sub.value
-    assert th.subset == sub.subset
-    assert th.candidates_evaluated == 5  # n+1 prefixes, zeros folded
+    assert len(a) == 40
+    assert sub.value == best
+    assert sub.candidates_evaluated == 41
+
+
+def test_xp_subset_rejects_bad_arguments():
+    with pytest.raises(ValidationError, match="not finite"):
+        xp_envelope_subset([1.0, math.nan], [0.5, 0.5], 4.0)
+    with pytest.raises(ValidationError, match="outside"):
+        xp_envelope_subset([1.0], [0.0], 4.0)
+    with pytest.raises(NormOverflowError):
+        xp_envelope_subset([1e200, 1.0], [0.5, 0.5], 4.0)
 
 
 @given(
@@ -240,8 +256,6 @@ def test_xp_subset_against_bruteforce(a, seed, p):
     sub = xp_envelope_subset(a, w, p)
     bf_value, bf_pool = oracles.xp_subset_bruteforce(a, w, p)
     assert sub.value == bf_value
-    th = xp_envelope_threshold(a, w, p)
-    assert th.value <= sub.value
 
 
 @given(

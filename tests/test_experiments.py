@@ -245,14 +245,21 @@ def test_mc_single_variable_ratio_near_one():
 
 
 def test_mc_validation():
-    with pytest.raises(ValidationError, match="at most 20"):
-        rosenthal_mc([(1.0, 1.0)] * 21, 4.0, 10**5, 0)
+    with pytest.raises(ValidationError, match="at most 64 variables .* sampling chunk"):
+        rosenthal_mc([(1.0, 1.0)] * 65, 4.0, 10**5, 0)
     with pytest.raises(ValidationError, match="10000 samples"):
         rosenthal_mc([(1.0, 1.0)], 4.0, 10**3, 0)
     with pytest.raises(ValidationError, match="outside"):
         rosenthal_mc([(1.0, 1.5)], 4.0, 10**5, 0)
     with pytest.raises(ValidationError, match="degenerate"):
         rosenthal_mc([(0.0, 0.5)], 4.0, 10**5, 0)
+
+
+def test_mc_runs_at_the_variable_cap():
+    res = rosenthal_mc([(1.0, 0.5)] * 64, 4.0, 10**4, 0)
+    assert res.samples == 10**4
+    assert rel_err(res.rhs, 32.0 ** 0.5) < 1e-15  # all 64 pooled: (64 · 0.5)^{1/2}
+    assert 0.5 < res.ratio < 2.0
 
 
 def test_mc_ratio_band_randomized():

@@ -63,6 +63,21 @@ def test_vector_validation():
     SparseVector(2, blocks=(blk(), blk(template=(6, 1))))  # different templates too
 
 
+def test_entry_inside_the_last_of_many_blocks():
+    # 30 blocks along coordinate 2, then 30 along coordinate 1, with
+    # entries right next to both ends of every block
+    blocks = tuple(blk(template=(k, 1), lo=10 * k, hi=10 * k + 4) for k in range(1, 31))
+    blocks += tuple(blk(template=(1, 100 + k), rc=1, lo=50, hi=60) for k in range(1, 31))
+    near = [((k, 10 * k - 1), 1.0) for k in range(1, 31)]
+    near += [((k, 10 * k + 5), 1.0) for k in range(1, 31)]
+    near += [((b, 100 + k), 1.0) for k in range(1, 31) for b in (49, 61)]
+    x = SparseVector(2, entries=tuple(near), blocks=blocks)
+    assert x.support_size == 120 + 30 * 5 + 30 * 11
+    inside = (((55, 130), 1.0), ((52, 130), 1.0))  # both in the last block
+    with pytest.raises(ValidationError, match=r"^entry \(52, 130\) lies inside a block$"):
+        SparseVector(2, entries=tuple(near) + inside, blocks=blocks)
+
+
 def test_blocks_layout_and_support():
     x = SparseVector(2, entries=(((9, 9), 2.0),), blocks=(blk(coeff=0.5),))
     assert x.support_size == 5
