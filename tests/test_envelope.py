@@ -201,6 +201,19 @@ def test_xp_subset_golden():
     assert sub.candidates_evaluated == 5  # n+1 prefixes
 
 
+def test_threshold_is_a_lower_bound_and_finds_gap_optimum():
+    # the ratio threshold (best prefix) never exceeds the envelope over all
+    # subsets, and on the gap example it reaches it with the same subset
+    a, w = [1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.01, 0.01]
+    sub = xp_envelope_subset(a, w, 4.0)
+    bf_value, _ = oracles.xp_subset_bruteforce(a, w, 4.0)
+    res, _ = envelope_norm_exact(GAP_X, GAP_FAMILY)
+    assert sub.value <= bf_value
+    assert sub.value == bf_value == res.value
+    assert sub.subset == (3, 4)  # the small-weight points go to the l_p part
+    assert sub.candidates_evaluated == 5  # n+1 prefixes
+
+
 def test_xp_subset_strips_zeros_and_remaps():
     sub = xp_envelope_subset([0.0, 2.0, 0.0, 1.0], [0.5, 0.5, 0.5, 0.5], 4.0)
     assert sub.subset == (2, 4)
