@@ -31,9 +31,10 @@ from typing import Mapping, Optional, Sequence, Union
 from .errors import CapacityError, NormOverflowError, ValidationError
 from .families import (
     DEFAULT_MAX_PAIRS,
+    EnvelopeMembers,
     Family,
+    cell_choices,
     glue_restrictions,
-    refinement_choices,
     restrict_family,
 )
 from .indices import Index
@@ -119,6 +120,14 @@ def refine(
     return glue_restrictions(Q.support, parts, label or "refined")
 
 
+def _searched_members(f: Family, supp: Sequence[Index], max_pairs: int) -> list[RestrictedPair]:
+    """The members searched: the closure is idempotent, so envelope(F)
+    is searched as F, its envelope layers stripped before restricting."""
+    while isinstance(f.members, EnvelopeMembers):
+        f = f.members.inner
+    return restrict_family(f, supp, max_pairs)
+
+
 def assignment_pair(
     supp: Sequence[Index], members: Sequence[RestrictedPair], choice: Sequence[int]
 ) -> RestrictedPair:
@@ -145,53 +154,64 @@ def has_envelope_property(
 ) -> EnvelopeCheck:
     """Is the family closed under refinement on this support?
 
-    Exhaustive within the caps (every partition of the support and every
-    per-cell member choice, deduplicated by per-cell restriction class);
-    beyond them, opt into randomized sampling via ``sample`` — that
-    verdict is probabilistic and marked non-exhaustive.
+    Two-cell refinements suffice.  Given Q = q1..qk and members T(qj),
+    let g1 = T(q1) and let gj glue g(j−1) on q1∪..∪q(j−1) with T(qj) on
+    the rest: each gj is a member by two-cell closure, and gk restricts
+    to T(qj) on each qj, so it is the refinement.  A one-cell refinement
+    is a member's own restriction, so it is never checked.
+
+    The first point is in the first cell; the others' bits (in the
+    second cell or not) run lexicographically, False first, all-False
+    skipped: :func:`~pwnorm.families.set_partitions` order cut to two
+    cells.  Per cell the choices are the distinct restrictions, in member
+    order with the first member's label; ``checked`` counts the pairs of
+    choices glued.
+
+    Exhaustive within the caps; with no ``sample`` the point cap is
+    checked before the family is restricted, the member cap after.
+    Beyond them, ``sample=N`` glues N random two-cell refinements (a
+    non-empty second cell, then a member per cell, drawn from
+    ``random.Random(seed)``): a probabilistic verdict, marked
+    non-exhaustive.
     """
+    opt_in = "pass sample=N to opt into randomized (probabilistic) checking"
     pts = sorted(set(support))
+    n = len(pts)
+    if sample is None and n > max_support:
+        raise CapacityError(f"{n} points exceed the exhaustive cap {max_support}; {opt_in}")
     members = restrict_family(f, pts, max_pairs)
     member_keys = {rp.canonical_key() for rp in members}
+    exhaustive = n <= max_support and len(members) <= max_members
+    if not exhaustive and sample is None:
+        raise CapacityError(f"{len(members)} members exceed the exhaustive cap {max_members}; {opt_in}")
 
-    if len(pts) <= max_support and len(members) <= max_members:
-        checked = 0
-        for cells, per_cell in refinement_choices(members, pts):
-            for picks in itertools.product(*per_cell):
-                checked += 1
-                glued = glue_restrictions(pts, [sub for sub, _ in picks])
-                if glued.canonical_key() not in member_keys:
-                    Q = RestrictedPartition(tuple(pts), tuple(tuple(q) for q in cells))
-                    return EnvelopeCheck(
-                        False, True, checked, (Q, tuple(name for _, name in picks))
-                    )
-        return EnvelopeCheck(True, True, checked)
+    def split(mask: int) -> tuple[tuple[Index, ...], tuple[Index, ...]]:
+        # pts[i] is in the second cell when bit n-1-i is set: masks below
+        # 2^(n-1) keep pts[0] in the first, and rising masks run the bit
+        # vectors lexicographically
+        second = tuple(b for i, b in enumerate(pts) if mask >> (n - 1 - i) & 1)
+        return tuple(b for b in pts if b not in second), second
 
-    if sample is None:
-        raise CapacityError(
-            f"{len(pts)} points / {len(members)} members exceed the exhaustive caps "
-            f"({max_support} points, {max_members} members); pass sample=N to opt "
-            "into randomized (probabilistic) checking"
-        )
-    rng = random.Random(seed)
-    for i in range(sample):
-        cells: list[list[Index]] = []
-        for b in pts:
-            j = rng.randrange(len(cells) + 1)
-            if j == len(cells):
-                cells.append([b])
-            else:
-                cells[j].append(b)
-        picks = [members[rng.randrange(len(members))] for _ in cells]
-        glued = glue_restrictions(
-            pts, [rp.restrict_to(q) for rp, q in zip(picks, cells)]
-        )
-        if glued.canonical_key() not in member_keys:
-            Q = RestrictedPartition(tuple(pts), tuple(tuple(q) for q in cells))
-            return EnvelopeCheck(
-                False, False, i + 1, (Q, tuple(rp.label for rp in picks))
-            )
-    return EnvelopeCheck(True, False, sample)
+    def refinements():
+        if exhaustive:
+            choices = cell_choices(members)
+            for A, B in map(split, range(1, 1 << (n - 1))):
+                for picks in itertools.product(choices(A), choices(B)):
+                    yield A, B, picks
+        else:
+            rng = random.Random(seed)
+            for _ in range(sample if n > 1 else 0):
+                A, B = split(rng.randrange(1, 1 << (n - 1)))
+                a, b = rng.choice(members), rng.choice(members)
+                yield A, B, ((a.restrict_to(A), a.label), (b.restrict_to(B), b.label))
+
+    checked = 0
+    for A, B, picks in refinements():
+        checked += 1
+        if glue_restrictions(pts, [sub for sub, _ in picks]).canonical_key() not in member_keys:
+            Q = RestrictedPartition(tuple(pts), (A, B))
+            return EnvelopeCheck(False, exhaustive, checked, (Q, tuple(lbl for _, lbl in picks)))
+    return EnvelopeCheck(True, exhaustive, checked)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +248,7 @@ def envelope_norm_exact(
     the search certifies, pruned or not.
     """
     supp = x.support(cap=max_support)
-    members = restrict_family(f, supp, max_pairs)
+    members = _searched_members(f, supp, max_pairs)
     k = len(members)
     n = len(supp)
     if k > max_members:
@@ -389,7 +409,7 @@ def envelope_lower_bound(
     """Norm of the single refined pair induced by the assignment —
     always a lower bound for the envelope norm."""
     supp = x.support(cap=max_support)
-    members = restrict_family(f, supp, max_pairs)
+    members = _searched_members(f, supp, max_pairs)
     by_label: dict[str, int] = {}
     for i, rp in enumerate(members):
         by_label.setdefault(rp.label, i)

@@ -11,21 +11,19 @@ finite, canonical, deduplicated list of
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence, Union
+from dataclasses import dataclass
+from typing import Callable, Iterator, Sequence, Union
 
 from .errors import ArityError, CapacityError, SupportError, ValidationError
 from .indices import Index, check_index
 from .partitions import (
-    Discrete,
-    Indiscrete,
     PairGrouping,
     PairPW,
     PartitionDescriptor,
     RestrictedPair,
-    RestrictedPartition,
     canonical_cells,
     restrict_pair,
 )
@@ -43,12 +41,13 @@ __all__ = [
     "restrict_family",
     "descriptor_members",
     "is_admissible",
+    "has_discrete_one",
     "indiscrete_weight",
     "subset_order",
     "subset_label",
     "lattice_member_weight",
     "glue_restrictions",
-    "refinement_choices",
+    "cell_choices",
     "set_partitions",
     "sum_embed",
     "sum_split_support",
@@ -386,45 +385,35 @@ def glue_restrictions(
     )
 
 
-def refinement_choices(
-    members: Sequence[RestrictedPair], pts: Sequence[Index]
-) -> Iterator[tuple[list[list[Index]], list[list[tuple[RestrictedPair, str]]]]]:
-    """Every set partition of ``pts`` with, per cell, the distinct
-    restrictions of the members to that cell, each with the label of the
-    first member (in the given order) that yields it.
+def cell_choices(
+    members: Sequence[RestrictedPair],
+) -> Callable[[tuple[Index, ...]], tuple[tuple[RestrictedPair, str], ...]]:
+    """Per cell, memoised: the distinct restrictions of the members to
+    the cell, each with the label of the first member (in the given
+    order) that yields it.  Member choices on a cell matter only through
+    these, so refinements are enumerated over them."""
 
-    Per cell, member choices matter only through their restriction to
-    the cell, so refinements are enumerated over these.  They are
-    computed once per distinct cell: the Bell(n) partitions share only
-    2^n − 1 cells.
-    """
-    memo: dict[tuple[Index, ...], list[tuple[RestrictedPair, str]]] = {}
-    for cells in set_partitions(pts):
-        per_cell = []
-        for q in cells:
-            key = tuple(q)
-            if key not in memo:
-                seen: dict[tuple, tuple[RestrictedPair, str]] = {}
-                for rp in members:
-                    sub = rp.restrict_to(q)
-                    seen.setdefault(sub.canonical_key(), (sub, rp.label))
-                memo[key] = list(seen.values())
-            per_cell.append(memo[key])
-        yield cells, per_cell
+    @functools.cache
+    def choices(cell: tuple[Index, ...]) -> tuple[tuple[RestrictedPair, str], ...]:
+        seen: dict[tuple, tuple[RestrictedPair, str]] = {}
+        for rp in members:
+            sub = rp.restrict_to(cell)
+            seen.setdefault(sub.canonical_key(), (sub, rp.label))
+        return tuple(seen.values())
+
+    return choices
 
 
 def _restrict_envelope(
     family: Family, src: EnvelopeMembers, support: list[Index], max_pairs: int
 ) -> list[RestrictedPair]:
-    inner = restrict_family(src.inner, support, max_pairs)
     pts = sorted(support)
+    choices = cell_choices(restrict_family(src.inner, pts, max_pairs))
     out: list[RestrictedPair] = []
     total = 0
-    for cells, per_cell in refinement_choices(inner, pts):
-        combos = 1
-        for choices in per_cell:
-            combos *= len(choices)
-        total += combos
+    for cells in set_partitions(pts):
+        per_cell = [choices(tuple(q)) for q in cells]
+        total += math.prod(len(c) for c in per_cell)
         if total > max_pairs:
             raise CapacityError(
                 f"envelope restriction would exceed {max_pairs} refinements"
@@ -493,13 +482,12 @@ def descriptor_members(
     with a weight descriptor, else None (composite sources, restricted
     partitions, weights given by point values).  More than ``max_pairs``
     members raise :class:`CapacityError` before any is built."""
-    src, pairs = family.members, []
+    src = family.members
     while isinstance(src, ExtendedMembers):
-        src, pairs = src.base, list(src.extra) + pairs
-    if isinstance(src, ExplicitMembers):
-        pairs = list(src.pairs) + pairs
-    elif not isinstance(src, SubsetLattice):
+        src = src.base
+    if not isinstance(src, (ExplicitMembers, SubsetLattice)):
         return None
+    pairs = list(_listed_pairs(family.members))
     if not all(
         isinstance(m.partition, PartitionDescriptor) and isinstance(m.weight, Weight)
         for m in pairs
@@ -514,33 +502,40 @@ def descriptor_members(
 # ---------------------------------------------------------------------------
 # admissibility
 
-def _explicit_has_discrete_one(pairs: Sequence[PairPW], arity: int) -> bool:
-    for m in pairs:
-        part = m.partition
-        if isinstance(part, PartitionDescriptor):
-            if part.fixed_coords(arity) == frozenset(range(1, arity + 1)):
-                if isinstance(m.weight, Weight) and is_one(m.weight):
-                    return True
-    return False
+def _listed_pairs(src: MemberSource) -> tuple[PairPW, ...]:
+    """The members listed outright: explicit pairs and extras, at any depth."""
+    if isinstance(src, ExplicitMembers):
+        return src.pairs
+    if isinstance(src, ExtendedMembers):
+        return _listed_pairs(src.base) + src.extra
+    return ()
 
 
-def _explicit_has_indiscrete(pairs: Sequence[PairPW], arity: int) -> bool:
-    for m in pairs:
-        part = m.partition
-        if isinstance(part, PartitionDescriptor):
-            if part.fixed_coords(arity) == frozenset():
-                return True
-    return False
+def has_discrete_one(family: Family) -> bool:
+    """True when a listed member (explicit, or an extra at any depth) is
+    the discrete partition with weight 1."""
+    full = frozenset(range(1, family.arity + 1))
+    return any(
+        isinstance(m.partition, PartitionDescriptor)
+        and m.partition.fixed_coords(family.arity) == full
+        and isinstance(m.weight, Weight)
+        and is_one(m.weight)
+        for m in _listed_pairs(family.members)
+    )
+
+
+def _has_indiscrete(family: Family) -> bool:
+    return any(
+        isinstance(m.partition, PartitionDescriptor)
+        and m.partition.fixed_coords(family.arity) == frozenset()
+        for m in _listed_pairs(family.members)
+    )
 
 
 def is_admissible(family: Family) -> bool:
     """True when the family contains the discrete partition with weight 1
     and the indiscrete partition with some weight."""
     src = family.members
-    if isinstance(src, ExplicitMembers):
-        return _explicit_has_discrete_one(src.pairs, family.arity) and _explicit_has_indiscrete(
-            src.pairs, family.arity
-        )
     if isinstance(src, SubsetLattice):
         return True
     if isinstance(src, SumMembers):
@@ -550,22 +545,13 @@ def is_admissible(family: Family) -> bool:
     if isinstance(src, EnvelopeMembers):
         return is_admissible(src.inner)
     if isinstance(src, ExtendedMembers):
-        if is_admissible(Family(family.p, family.arity, src.base)):
-            return True
-        # extras may supply the missing members
-        all_pairs = list(src.extra) + list(_explicit_pairs_or_empty(src.base))
-        return _explicit_has_discrete_one(all_pairs, family.arity) and _explicit_has_indiscrete(
-            all_pairs, family.arity
+        # extras may supply the members the base lacks
+        return is_admissible(Family(family.p, family.arity, src.base)) or (
+            has_discrete_one(family) and _has_indiscrete(family)
         )
-    raise ValidationError(f"unknown member source {type(src).__name__}")  # pragma: no cover
-
-
-def _explicit_pairs_or_empty(src: MemberSource) -> tuple[PairPW, ...]:
     if isinstance(src, ExplicitMembers):
-        return src.pairs
-    if isinstance(src, ExtendedMembers):
-        return _explicit_pairs_or_empty(src.base) + src.extra
-    return ()
+        return has_discrete_one(family) and _has_indiscrete(family)
+    raise ValidationError(f"unknown member source {type(src).__name__}")  # pragma: no cover
 
 
 def indiscrete_weight(family: Family) -> Weight:

@@ -22,7 +22,7 @@ from .families import (
     SubsetLattice,
     SumMembers,
     TensorMembers,
-    _explicit_has_discrete_one,
+    has_discrete_one,
     indiscrete_weight,
     is_admissible,
 )
@@ -250,8 +250,7 @@ def make_admissible(f: Family, ind_weight: Weight | None = None) -> Family:
     """
     if is_admissible(f):
         return f
-    pairs = _flatten_explicit(f.members)
-    have_discrete = _explicit_has_discrete_one(pairs, f.arity)
+    have_discrete = has_discrete_one(f)
     try:
         indiscrete_weight(f)
         have_indiscrete = True
@@ -266,14 +265,6 @@ def make_admissible(f: Family, ind_weight: Weight | None = None) -> Family:
     if not extra:  # pragma: no cover - is_admissible would have been true
         return f
     return Family(f.p, f.arity, ExtendedMembers(f.members, tuple(extra)))
-
-
-def _flatten_explicit(src: MemberSource) -> tuple[PairPW, ...]:
-    if isinstance(src, ExplicitMembers):
-        return src.pairs
-    if isinstance(src, ExtendedMembers):
-        return _flatten_explicit(src.base) + src.extra
-    return ()
 
 
 def _member_weights(src: MemberSource) -> list[Weight]:

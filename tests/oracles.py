@@ -176,6 +176,42 @@ def qt_norm_dumb(x, family, p: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# refinement closure — the envelope-property oracle
+
+
+def closure_check_literal(family, support):
+    """Is the family closed under refinement on the support?  Literally:
+    every set partition Q of the support and every choice of one member
+    per cell (members in restricted order, repeats allowed), glued and
+    looked up among the members.  Returns (holds, counterexample), the
+    counterexample being the first failing (cells, member labels) in
+    that order, or None."""
+    supp = sorted(set(support))
+    members = restrict_family(family, supp)
+
+    def key(cells, weight):
+        return frozenset(frozenset(c) for c in cells), tuple(weight[b] for b in supp)
+
+    member_keys = {key(m.cells, m.weight_map()) for m in members}
+    for part in set_partitions(supp):
+        for choice in itertools.product(members, repeat=len(part)):
+            cells, weight = [], {}
+            for q, m in zip(part, choice):
+                where = m.cell_of()
+                grouped = {}
+                for b in q:
+                    grouped.setdefault(where[b], []).append(b)
+                    weight[b] = m.weight_at(b)
+                cells.extend(grouped.values())
+            if key(cells, weight) not in member_keys:
+                return False, (
+                    tuple(tuple(q) for q in part),
+                    tuple(m.label for m in choice),
+                )
+    return True, None
+
+
+# ---------------------------------------------------------------------------
 # direct sum-space norm (the "one max over product choices + global l2" form)
 
 

@@ -158,6 +158,36 @@ def test_distortion_command(tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "alpha, vector, witness",
+    [
+        ("0.3", "2 : 1\n3 : 0.5\n5 : 0.25\n", "assign[discrete,discrete,discrete]"),
+        ("0.1", "2 : 1\n3 : 0.3\n5 : 0.3\n", "assign[discrete,(),()]"),
+    ],
+)
+def test_envelope_of_a_space_is_searched_as_the_space(tmp_path, alpha, vector, witness):
+    vec = _vec(tmp_path, vector)
+    inner = f"p = 4\nspace = xp(power_decay({alpha}))\n"
+    env = f"p = 4\nspace = envelope(xp(power_decay({alpha})))\n"
+    rows = {}
+    for name, text in (("inner", inner), ("env", env)):
+        cfg = _file(tmp_path, text, f"{name}.cfg")
+        for command in ("envelope", "distortion"):
+            out = str(tmp_path / f"{name}-{command}.csv")
+            assert main(["--command", command, "--config", cfg, "--vector", vec, "--out", out]) == 0
+            rows[name, command] = _rows(out)[1]
+    assert rows["env", "envelope"][3:] == rows["inner", "envelope"][3:]
+    assert rows["env", "envelope"][4] == witness
+    p, expr = parse_config(env)
+    x = read_vector(vec, 1)
+    family = build_space(p, expr)
+    value = family_norm(x, family).value
+    assert envelope_norm_exact(x, family)[0].value == value
+    assert rows["env", "envelope"][3] == fmt(value)
+    assert rows["env", "distortion"][3:] == [fmt(value), fmt(value), "1", "1"]
+    assert rows["env", "distortion"][4] == rows["inner", "distortion"][4]
+
+
 def test_norm_command_with_blocks(tmp_path, capsys):
     cfg = _cfg(tmp_path, "p = 4\nspace = tensor(lp, lp)\n")
     vec = _file(tmp_path, "block 2 1 2 3 51 : 0.25\n", "b.vec")
@@ -205,7 +235,7 @@ def test_check_envelope_property_failing(tmp_path, capsys):
     assert header == [
         "command", "space", "p", "holds", "exhaustive", "checked", "counterexample",
     ]
-    assert row[3:] == ["false", "true", "4", "[(1,)]<-discrete | [(2,)]<-()"]
+    assert row[3:] == ["false", "true", "2", "[(1,)]<-discrete | [(2,)]<-()"]
 
 
 def test_check_envelope_property_holding(tmp_path, capsys):
@@ -215,7 +245,7 @@ def test_check_envelope_property_holding(tmp_path, capsys):
     )
     assert rc == 0
     line = capsys.readouterr().out.splitlines()[0]
-    assert line == "envelope property holds exhaustively (9 refinements checked)"
+    assert line == "envelope property holds exhaustively (4 refinements checked)"
 
 
 def test_check_envelope_property_caps_support_before_building_it(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,7 +22,13 @@ from pwnorm.errors import CapacityError, NormOverflowError, ValidationError
 from pwnorm.families import ExplicitMembers, Family, restrict_family
 from pwnorm.norms import family_norm, pair_norm
 from pwnorm.partitions import Discrete, Indiscrete, PairPW, RestrictedPartition
-from pwnorm.spaces import envelope_family, make_rosenthal_xp
+from pwnorm.spaces import (
+    envelope_family,
+    make_lp,
+    make_rosenthal_xp,
+    make_schechtman,
+    p2w_sum,
+)
 from pwnorm.vectors import SparseVector
 from pwnorm.weights import Constant, Explicit, One, PowerDecay
 
@@ -52,7 +59,7 @@ def test_two_member_family_fails_refinement_closure():
     chk = has_envelope_property(XP_HALF, ((1,), (2,)))
     assert not chk.holds
     assert chk.exhaustive
-    assert chk.checked == 4
+    assert chk.checked == 2
     Q, labels = chk.counterexample
     assert Q.cells == (((1,),), ((2,),))
     assert labels == ("discrete", "()")
@@ -60,7 +67,7 @@ def test_two_member_family_fails_refinement_closure():
 
 def test_envelope_family_is_refinement_closed():
     ef = envelope_family(make_rosenthal_xp(4.0, PowerDecay(0.25)))
-    for n, expected_checked in [(2, 5), (3, 31), (4, 231)]:
+    for n, expected_checked in [(2, 2), (3, 17), (4, 120)]:
         chk = has_envelope_property(ef, tuple((i,) for i in range(1, n + 1)), max_members=40)
         assert chk.holds and chk.exhaustive
         assert chk.checked == expected_checked
@@ -77,12 +84,103 @@ def test_property_check_caps_and_sampling():
     assert chk.checked == 60
 
 
+def test_point_cap_is_checked_before_restricting(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the family was restricted before the point cap was checked")
+
+    monkeypatch.setattr("pwnorm.envelope.restrict_family", refuse)
+    ef = envelope_family(make_rosenthal_xp(4.0, PowerDecay(0.25)))
+    with pytest.raises(CapacityError, match="8 points exceed the exhaustive cap 6"):
+        has_envelope_property(ef, tuple((i,) for i in range(1, 9)))
+
+
+def test_member_cap_names_the_member_count():
+    ef = envelope_family(make_rosenthal_xp(4.0, PowerDecay(0.25)))
+    with pytest.raises(CapacityError, match="10 members exceed the exhaustive cap 4"):
+        has_envelope_property(ef, ((1,), (2,), (3,)))
+
+
 def test_sampling_is_seeded():
     ef = envelope_family(make_rosenthal_xp(4.0, PowerDecay(0.25)))
     pts8 = tuple((i,) for i in range(1, 9))
     a = has_envelope_property(ef, pts8, sample=25, seed=7, max_members=300)
     b = has_envelope_property(ef, pts8, sample=25, seed=7, max_members=300)
     assert (a.holds, a.checked) == (b.holds, b.checked)
+
+
+def _explicit_family(rng, p, base):
+    pairs = tuple(
+        PairPW(
+            RestrictedPartition(base, _random_partition(rng, base)),
+            {b: rng.choice((1.0, 0.5, 0.25)) for b in base},
+            f"m{i}",
+        )
+        for i in range(rng.randint(1, 4))
+    )
+    return Family(p, 1, ExplicitMembers(pairs))
+
+
+def _random_partition(rng, pts):
+    cells = []
+    for b in pts:
+        j = rng.randrange(len(cells) + 1)
+        if j == len(cells):
+            cells.append([b])
+        else:
+            cells[j].append(b)
+    return tuple(tuple(c) for c in cells)
+
+
+def _closure_instance(rng):
+    """A random family and support of one of several kinds; supports of
+    closed families stay small, since the oracle tries every member
+    choice on every partition."""
+    kind = rng.choice(["plain", "envelope", "closed_minus_one", "schechtman", "lp", "sum"])
+    p = rng.choice((3.0, 4.0, 5.0))
+    w = rng.choice((PowerDecay(round(rng.uniform(0.1, 0.5), 3)), Constant(0.5), One()))
+    base = tuple((i,) for i in range(1, 7))
+    n = rng.randint(2, 5)
+    if kind == "schechtman":
+        grid = [(i, j) for i in range(1, 4) for j in range(1, 4)]
+        return make_schechtman(p, w, PowerDecay(0.3)), rng.sample(grid, n)
+    if kind == "sum":
+        child = make_rosenthal_xp(p, w)
+        if rng.random() < 0.5:
+            child, n = envelope_family(child), min(n, 3)
+        fam = p2w_sum([child, child], rng.choice((One(), Constant(0.5))))
+        return fam, rng.sample([(a, i) for a in (1, 2) for i in range(1, 5)], n)
+    if kind == "lp":
+        return make_lp(p), rng.sample(base, n)
+    inner = _explicit_family(rng, p, base) if rng.random() < 0.5 else make_rosenthal_xp(p, w)
+    if kind == "plain":
+        return inner, rng.sample(base, n)
+    supp = sorted(rng.sample(base, min(n, 3)))
+    if kind == "envelope":
+        return envelope_family(inner), supp
+    rps = restrict_family(envelope_family(inner), supp)
+    if len(rps) > 1:
+        del rps[rng.randrange(1, len(rps))]
+    pairs = tuple(
+        PairPW(RestrictedPartition(rp.support, rp.cells), rp.weight_map(), rp.label)
+        for rp in rps
+    )
+    return Family(p, 1, ExplicitMembers(pairs)), supp
+
+
+def test_two_cell_check_matches_the_literal_closure_check():
+    rng = random.Random(2024)
+    closed = two_cell = 0
+    for _ in range(150):
+        fam, supp = _closure_instance(rng)
+        chk = has_envelope_property(fam, supp, max_members=10**6)
+        holds, counterexample = oracles.closure_check_literal(fam, supp)
+        assert chk.holds == holds and chk.exhaustive
+        closed += holds
+        if counterexample is not None and len(counterexample[0]) == 2:
+            two_cell += 1
+            Q, labels = chk.counterexample
+            assert (Q.cells, labels) == counterexample
+    assert closed >= 40 and two_cell >= 40
 
 
 def test_refine_and_assignment_pair_agree():
