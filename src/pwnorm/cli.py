@@ -22,13 +22,7 @@ import sys
 from typing import Sequence
 
 from .config import build_space, build_weight, format_node, parse_config
-from .envelope import (
-    DEFAULT_MAX_ASSIGNMENTS,
-    DEFAULT_MAX_ENVELOPE_MEMBERS,
-    distortion_certificate,
-    envelope_norm_exact,
-    has_envelope_property,
-)
+from .envelope import distortion_certificate, envelope_norm_exact, has_envelope_property
 from .errors import CapacityError, ParseError, PwnormError, ValidationError
 from .experiments import rosenthal_mc, yn_default_params, yn_report
 from .norms import DEFAULT_MAX_SUPPORT, family_norm
@@ -176,12 +170,7 @@ def _cmd_norm(args) -> int:
 def _cmd_envelope(args) -> int:
     p, expr, family = _load_family(args)
     x = read_vector(_need(args, "vector", "--vector"), family.arity)
-    r, assignment = envelope_norm_exact(
-        x,
-        family,
-        max_members=args.cap_members,
-        max_assignments=args.cap_assignments,
-    )
+    r, assignment = envelope_norm_exact(x, family)
     print(f"envelope norm = {fmt(r.value)}")
     print(f"assignment: {assignment.label()}")
     print(f"assignments searched: {r.candidates_evaluated}")
@@ -197,12 +186,7 @@ def _cmd_envelope(args) -> int:
 def _cmd_distortion(args) -> int:
     p, expr, family = _load_family(args)
     x = read_vector(_need(args, "vector", "--vector"), family.arity)
-    rep = distortion_certificate(
-        x,
-        family,
-        max_members=args.cap_members,
-        max_assignments=args.cap_assignments,
-    )
+    rep = distortion_certificate(x, family)
     print(f"given norm   = {fmt(rep.given_norm)}")
     print(f"envelope lb  = {fmt(rep.envelope_lb)}")
     print(f"ratio        = {fmt(rep.ratio)}")
@@ -382,12 +366,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", help="write results as CSV to this file")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument(
-        "--cap-assignments", type=int, default=DEFAULT_MAX_ASSIGNMENTS,
-        help="max point-to-member assignments searched",
-    )
-    ap.add_argument(
-        "--cap-members", type=int, default=DEFAULT_MAX_ENVELOPE_MEMBERS,
-        help="max restricted members in envelope searches",
+        "--cap-members", type=int, default=8,
+        help="max restricted members an exhaustive check-envelope-property glues",
     )
     ap.add_argument("--eps", type=float, default=1.0)
     ap.add_argument("--n", type=int, default=None)

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import ParseError, ValidationError
 from .families import Family

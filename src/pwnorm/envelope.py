@@ -24,7 +24,6 @@ import itertools
 import math
 import random
 import sys
-from array import array
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
@@ -38,7 +37,7 @@ from .families import (
     restrict_family,
 )
 from .indices import Index
-from .norms import DEFAULT_MAX_SUPPORT, NormResult, canonical_value, family_norm, pair_norm, term
+from .norms import DEFAULT_MAX_SUPPORT, NormResult, family_norm, pair_norm, term
 from .partitions import PairPW, RestrictedPair, RestrictedPartition, restrict_pair
 from .vectors import SparseVector
 
@@ -56,14 +55,14 @@ __all__ = [
     "assignment_pair",
 ]
 
-DEFAULT_MAX_ENVELOPE_SUPPORT = 16
-DEFAULT_MAX_ENVELOPE_MEMBERS = 8
-DEFAULT_MAX_ASSIGNMENTS = 1 << 24
 DEFAULT_CHECK_SUPPORT = 6
 DEFAULT_CHECK_MEMBERS = 4
 
 _NEAR_BAND = 1e-11  # relative slack for collecting re-evaluation candidates
 _MAX_FINALISTS = 1 << 22  # near-maximal assignments re-evaluated at most
+_MAX_NODES = 1 << 25  # search nodes visited at most
+_MAX_POINTS = 256  # the search recurses once per point
+_ULP = 1 << 1074  # 1 / the least subnormal float
 
 
 @dataclass(frozen=True)
@@ -218,20 +217,17 @@ def has_envelope_property(
 # exact envelope norm by assignment search
 
 def envelope_norm_exact(
-    x: SparseVector,
-    f: Family,
-    max_support: int = DEFAULT_MAX_ENVELOPE_SUPPORT,
-    max_members: int = DEFAULT_MAX_ENVELOPE_MEMBERS,
-    max_assignments: int = DEFAULT_MAX_ASSIGNMENTS,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
+    x: SparseVector, f: Family, max_pairs: int = DEFAULT_MAX_PAIRS
 ) -> tuple[NormResult, Assignment]:
     """Maximize the refined-pair norm over all point→member assignments.
 
     Returns the canonical value and the lexicographically smallest
     maximizing assignment (points in sorted order, members in restricted
-    order).  The search space is |members|^|support|; all three caps are
-    hard errors, never approximations, and the ``max_assignments`` cap is
-    checked on that count before any search runs.
+    order).  Past _MAX_NODES search nodes (inner nodes and leaves) it
+    raises ``CapacityError``, never approximates.  The full tree over n
+    points and k ≥ 2 members has Σ_{d≤n} k^d ≤ 2·k^n nodes, so k^n ≤ 2^24
+    fits the budget of 2^25 unpruned.  It recurses once per point, so
+    supports past _MAX_POINTS points are refused before restricting.
 
     The search is a depth-first branch and bound over the points, heaviest
     first.  The objective is Σ S^{p/2} over the (member, cell) buckets,
@@ -247,17 +243,9 @@ def envelope_norm_exact(
     ``candidates_evaluated`` counts the |members|^|support| assignments
     the search certifies, pruned or not.
     """
-    supp = x.support(cap=max_support)
+    supp = x.support(cap=_MAX_POINTS)
     members = _searched_members(f, supp, max_pairs)
     k = len(members)
-    n = len(supp)
-    if k > max_members:
-        raise CapacityError(f"{k} restricted members exceed the cap {max_members}")
-    total = k**n
-    if total > max_assignments:
-        raise CapacityError(
-            f"{k}^{n} = {total} assignments exceed the cap {max_assignments}"
-        )
 
     items = dict(x.items())
     wmaps = [rp.weight_map() for rp in members]
@@ -287,7 +275,7 @@ def envelope_norm_exact(
         tuple(supp), tuple(members[r].label for r in best_choice)
     )
     result = NormResult(
-        value=best_val, argmax_member=assignment.label(), candidates_evaluated=total
+        value=best_val, argmax_member=assignment.label(), candidates_evaluated=k ** len(supp)
     )
     return result, assignment
 
@@ -327,9 +315,11 @@ def _near_maximal(
     S = [0.0] * nb  # bucket sums
     P = [0.0] * nb  # bucket sums to the power hp
     cut = best * (1.0 - 2.0 * _NEAR_BAND)
-    ids = array("q")  # assignment ids: base-k digits, first point most significant
-    vals = array("d")
+    ids: list[int] = []  # assignment ids, of any size: base-k digits, first point first
+    vals: list[float] = []
     limit = _MAX_FINALISTS
+    budget = _MAX_NODES
+    nodes = 0  # past the root: one per visit call, k per leaves call
 
     def leaves(i: int, cur: float, step: int) -> None:
         nonlocal best, cut, ids, vals, limit
@@ -352,6 +342,7 @@ def _near_maximal(
             limit = len(ids) + _MAX_FINALISTS // 2
 
     def visit(d: int, cur: float, smax: float, smax_h: float, step: int) -> None:
+        nonlocal nodes
         i = order[d]
         R = rest[d + 1]
         last = d + 2 == n
@@ -368,6 +359,9 @@ def _near_maximal(
             t = m + R
             if t < huge and v + t**hp - mh < cut:
                 continue
+            nodes += k if last else 1
+            if nodes > budget:
+                raise CapacityError(f"the envelope search passed its budget of {budget} nodes")
             p0 = P[b]
             S[b] = s
             P[b] = sh
@@ -387,7 +381,7 @@ def _near_maximal(
     return [tuple(a // place[i] % k for i in range(n)) for a in sorted(ids)]
 
 
-def _within_band(ids: array, vals: array, best: float) -> tuple[array, array]:
+def _within_band(ids: list[int], vals: list[float], best: float) -> tuple[list, list]:
     """The (id, value) entries within _NEAR_BAND of ``best``; a hard error
     when more than _MAX_FINALISTS of them would need re-evaluation."""
     keep = best * (1.0 - _NEAR_BAND)
@@ -396,7 +390,7 @@ def _within_band(ids: array, vals: array, best: float) -> tuple[array, array]:
         raise CapacityError(
             "too many near-maximal assignments to certify a canonical winner"
         )
-    return array("q", [ids[j] for j in kept]), array("d", [vals[j] for j in kept])
+    return [ids[j] for j in kept], [vals[j] for j in kept]
 
 
 def envelope_lower_bound(
@@ -438,15 +432,12 @@ class SubsetResult:
     candidates_evaluated: int
 
 
-def _subset_canonical(
-    a: Sequence[float], w: Sequence[float], chosen: Sequence[int], pooled: Sequence[int], p: float
-) -> float:
-    """Canonical value with the chosen coordinates as singleton cells at
-    weight 1 and the pooled ones as one cell under their weights."""
-    cells = [[term(a[i], 1.0)] for i in chosen]
-    if pooled:
-        cells.append([term(a[i], w[i]) for i in pooled])
-    return canonical_value(cells, p)
+def _ulps(v: float) -> int:
+    """v / 2^-1074, exactly: every finite float is a whole number of the
+    least subnormal, so sums of these are exact, and int / int rounds
+    them correctly, as fsum does.  OverflowError for inf."""
+    num, den = v.as_integer_ratio()
+    return num * (_ULP // den)
 
 
 def xp_envelope_subset(a: Sequence[float], w: Sequence[float], p: float) -> SubsetResult:
@@ -456,7 +447,10 @@ def xp_envelope_subset(a: Sequence[float], w: Sequence[float], p: float) -> Subs
 
     The m nonzero coordinates are sorted by |a_i|^{p-2}/w_i² descending
     (stably, so ties keep index order) and the m+1 prefixes of that order
-    are evaluated canonically; ``candidates_evaluated`` counts them.
+    are evaluated canonically; ``candidates_evaluated`` counts them.  Two
+    running exact sums, of the chosen cells' |a_i|^p and of the pooled
+    cell's terms, give each prefix the floats that
+    :func:`~pwnorm.norms.canonical_value` builds, in linear time.
 
     The best prefix is the best subset.  Relax q to t ∈ [0,1]^n and fix
     the mass T = Σ t_i a_i²w_i² moved out of the pooled cell.  The best
@@ -499,14 +493,28 @@ def xp_envelope_subset(a: Sequence[float], w: Sequence[float], p: float) -> Subs
             raise NormOverflowError(f"coefficient {a[i]!r} to the power p overflows") from exc
 
     order = sorted((i for i in range(n) if a[i] != 0.0), key=ratio, reverse=True)
+    m = len(order)
+    hp = p / 2.0
     best_val = -1.0
     best_len = 0
-    for j in range(len(order) + 1):
-        v = _subset_canonical(a, w, order[:j], order[j:], p)
-        if v > best_val:
-            best_val, best_len = v, j
+    try:
+        # pooled[j]: the cell value (Σ_{i ∈ order[j:]} a_i²w_i²)^{p/2}, 0 for no cell
+        pooled = [0.0] * (m + 1)
+        rest = 0
+        for j in range(m - 1, -1, -1):
+            rest += _ulps(term(a[order[j]], w[order[j]]))
+            pooled[j] = pow(rest / _ULP, hp)
+        chosen = 0  # Σ_{i ∈ order[:j]} |a_i|^p in ulps
+        for j in range(m + 1):
+            if j:
+                chosen += _ulps(pow(term(a[order[j - 1]], 1.0), hp))
+            v = pow((chosen + _ulps(pooled[j])) / _ULP, 1.0 / p)
+            if v > best_val:
+                best_val, best_len = v, j
+    except OverflowError as exc:
+        raise NormOverflowError(f"norm evaluation overflowed ({exc})") from exc
     subset = tuple(sorted(i + 1 for i in order[:best_len]))
-    return SubsetResult(value=best_val, subset=subset, candidates_evaluated=len(order) + 1)
+    return SubsetResult(value=best_val, subset=subset, candidates_evaluated=m + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -516,25 +524,20 @@ def distortion_certificate(
     x: SparseVector,
     f: Family,
     assignment: Assignment | None = None,
-    max_support: int = DEFAULT_MAX_ENVELOPE_SUPPORT,
-    max_members: int = DEFAULT_MAX_ENVELOPE_MEMBERS,
-    max_assignments: int = DEFAULT_MAX_ASSIGNMENTS,
     max_pairs: int = DEFAULT_MAX_PAIRS,
 ) -> DistortionReport:
     """Certified distortion: envelope bound over given norm.
 
     With an assignment, the bound is that single refinement's norm
-    (cheap, any support size); without one, the exact envelope norm
-    (capped search).  Any embedding of the given-norm space into an
-    envelope-normed superspace has distance at least sqrt(ratio).
+    (cheap, any support size); without one, the exact envelope norm (a
+    search with a node budget).  Any embedding of the given-norm space
+    into an envelope-normed superspace has distance at least sqrt(ratio).
     """
     given = family_norm(x, f, max_pairs=max_pairs)
     if given.value <= 0.0:
         raise ValidationError("distortion certificate needs a nonzero vector")
     if assignment is None:
-        res, assignment = envelope_norm_exact(
-            x, f, max_support, max_members, max_assignments, max_pairs
-        )
+        res, assignment = envelope_norm_exact(x, f, max_pairs)
         env = res.value
     else:
         env = envelope_lower_bound(x, f, assignment, max_pairs=max_pairs)

@@ -19,7 +19,7 @@ from .errors import ArityError, CapacityError, NormOverflowError, SupportError
 from .families import DEFAULT_MAX_PAIRS, Family, descriptor_members, restrict_family
 from .indices import Index
 from .partitions import PartitionDescriptor, RestrictedPair, check_weight_value
-from .vectors import ConstantBlock, SparseVector, blocks_overlap
+from .vectors import ConstantBlock, SparseVector, blocks_overlap, first_points_inside
 from .weights import Weight
 
 __all__ = [
@@ -203,7 +203,7 @@ def _clash(cells_of: list[ConstantBlock], keys: list[tuple[int, ...]]) -> bool:
     """Whether split blocks' cells meet each other or any of the keys."""
     return any(
         blocks_overlap(a, b) for i, a in enumerate(cells_of) for b in cells_of[i + 1 :]
-    ) or any(a.contains(k) for a in cells_of for k in keys)
+    ) or any(hit is not None for hit in first_points_inside(cells_of, sorted(keys)))
 
 
 def _expand(blocks: Sequence[ConstantBlock], cap: int) -> list[tuple[Index, float]]:

@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
-from .errors import CapacityError, SupportError, ValidationError
+from .errors import CapacityError, ValidationError
 from .indices import Index, check_index
 
-__all__ = ["ConstantBlock", "SparseVector", "blocks_overlap", "unit_vector"]
+__all__ = [
+    "ConstantBlock", "SparseVector", "blocks_overlap", "first_points_inside", "unit_vector"
+]
 
 
 @dataclass(frozen=True)
@@ -109,6 +111,24 @@ def blocks_overlap(a: ConstantBlock, b: ConstantBlock) -> bool:
     return True
 
 
+def first_points_inside(
+    blocks: Sequence[ConstantBlock], points: Iterable[Index]
+) -> list[Index | None]:
+    """Per block, the first of the ascending ``points`` it contains, or
+    None: a keyed lookup on the point masked as a block's ``key_profile``
+    masks its template, then a bisection on the running value."""
+    runs: dict[int, dict[tuple, list[int]]] = {blk.running_coord: {} for blk in blocks}
+    for idx in points:
+        for rc, groups in runs.items():
+            groups.setdefault(idx[: rc - 1] + (-1,) + idx[rc:], []).append(idx[rc - 1])
+    hits: list[Index | None] = []
+    for blk in blocks:
+        vals = runs[blk.running_coord].get(blk.key_profile()[1], [])
+        j = bisect.bisect_left(vals, blk.lo)
+        hits.append(blk.point_at(vals[j]) if j < len(vals) and vals[j] <= blk.hi else None)
+    return hits
+
+
 @dataclass(frozen=True)
 class SparseVector:
     """Finitely supported vector: explicit entries + constant blocks.
@@ -143,14 +163,7 @@ class SparseVector:
                 raise ValidationError(
                     f"block template arity {len(blk.template)} != vector arity {self.arity}"
                 )
-        # per running coordinate of some block: the entries' values at that
-        # coordinate, ascending, grouped by the rest of the index (masked
-        # as key_profile masks a block template)
-        runs: dict[int, dict[tuple, list[int]]] = {}
-        for rc in {blk.running_coord for blk in self.blocks}:
-            groups = runs[rc] = {}
-            for idx, _ in ents:
-                groups.setdefault(idx[: rc - 1] + (-1,) + idx[rc:], []).append(idx[rc - 1])
+        inside = first_points_inside(self.blocks, [idx for idx, _ in ents])
         for i, a in enumerate(self.blocks):
             for b in self.blocks[i + 1 :]:
                 if blocks_overlap(a, b):
@@ -158,10 +171,8 @@ class SparseVector:
                         f"blocks overlap: {a.key_profile()} [{a.lo},{a.hi}] and "
                         f"{b.key_profile()} [{b.lo},{b.hi}]"
                     )
-            vals = runs[a.running_coord].get(a.key_profile()[1], [])
-            j = bisect.bisect_left(vals, a.lo)
-            if j < len(vals) and vals[j] <= a.hi:
-                raise ValidationError(f"entry {a.point_at(vals[j])} lies inside a block")
+            if inside[i] is not None:
+                raise ValidationError(f"entry {inside[i]} lies inside a block")
         object.__setattr__(self, "entries", tuple(ents))
 
     @property

@@ -14,8 +14,7 @@ them onto a coordinate with :class:`CoordinateLift`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
 from .errors import UndecidableWeightError, ValidationError
 from .indices import Index
@@ -110,7 +109,10 @@ class PowerDecay(Weight):
 
     def value_at(self, idx: Index) -> float:
         s = _one_dim(idx, "PowerDecay")
-        return min(1.0, float(s) ** (-self.alpha))
+        v = float(s) ** (-self.alpha)
+        if v == 0.0:
+            raise ValidationError(f"weight {self!r} underflows to 0.0 at s = {s}")
+        return min(1.0, v)
 
     def depends_on(self, arity: int) -> frozenset[int]:
         return frozenset({1})
@@ -130,7 +132,10 @@ class Geometric(Weight):
 
     def value_at(self, idx: Index) -> float:
         s = _one_dim(idx, "Geometric")
-        return self.ratio**s
+        v = self.ratio**s
+        if v == 0.0:
+            raise ValidationError(f"weight {self!r} underflows to 0.0 at s = {s}")
+        return v
 
     def depends_on(self, arity: int) -> frozenset[int]:
         return frozenset({1})

@@ -389,11 +389,29 @@ def test_exit_code_2_on_missing_flag(tmp_path, capsys):
 
 def test_exit_code_3_on_capacity(tmp_path, capsys):
     rc = main(
-        ["--command", "envelope", "--config", _cfg(tmp_path, CONST_CFG),
+        ["--command", "check-envelope-property", "--config", _cfg(tmp_path, CONST_CFG),
          "--vector", _vec(tmp_path), "--cap-members", "1"]
     )
     assert rc == 3
-    assert capsys.readouterr().err.startswith("capacity error:")
+    assert capsys.readouterr().err.startswith("capacity error: 2 members exceed")
+
+
+def test_cap_assignments_flag_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        main(["--command", "envelope", "--config", _cfg(tmp_path, CONST_CFG),
+              "--vector", _vec(tmp_path), "--cap-assignments", "8"])
+    assert "unrecognized arguments: --cap-assignments" in capsys.readouterr().err
+
+
+def test_exit_code_2_on_underflowing_weight(tmp_path, capsys):
+    rc = main(
+        ["--command", "norm", "--config", _cfg(tmp_path, "p = 4\nspace = xp(geometric(0.5))\n"),
+         "--vector", _vec(tmp_path, "1 : 1\n1100 : 1\n")]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: weight Geometric(ratio=0.5) underflows to 0.0 at s = 1100\n"
+    )
 
 
 def test_exit_code_4_on_missing_files(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, settings
@@ -20,7 +21,7 @@ from pwnorm.envelope import (
 )
 from pwnorm.errors import CapacityError, NormOverflowError, ValidationError
 from pwnorm.families import ExplicitMembers, Family, restrict_family
-from pwnorm.norms import family_norm, pair_norm
+from pwnorm.norms import canonical_value, family_norm, pair_norm, term
 from pwnorm.partitions import Discrete, Indiscrete, PairPW, RestrictedPartition
 from pwnorm.spaces import (
     envelope_family,
@@ -240,13 +241,89 @@ def test_envelope_witness_is_first_maximizer(fam, x):
     assert asg.member_labels == tuple(members[r].label for r in first)
 
 
-def test_envelope_norm_caps():
-    with pytest.raises(CapacityError, match="support"):
-        envelope_norm_exact(ones(17), XP_HALF)
-    with pytest.raises(CapacityError, match="assignments"):
-        envelope_norm_exact(ones(4), XP_HALF, max_assignments=8)
-    with pytest.raises(CapacityError, match="members"):
-        envelope_norm_exact(ones(4), XP_HALF, max_members=1)
+def test_envelope_norm_caps(monkeypatch):
+    # 17 points were past the old point cap; the all-pooled member wins
+    res, asg = envelope_norm_exact(ones(17), XP_HALF)
+    assert res.value == family_norm(ones(17), XP_HALF).value
+    assert set(asg.member_labels) == {"()"}
+    with pytest.raises(CapacityError, match="support size 257 exceeds cap 256"):
+        envelope_norm_exact(ones(257), XP_HALF)
+    # the two-way tie on 16 points visits 65,776 nodes below the root
+    monkeypatch.setattr("pwnorm.envelope._MAX_NODES", 65_776)
+    res, _ = envelope_norm_exact(ones(16), XP_HALF)
+    assert res.candidates_evaluated == 2**16
+    monkeypatch.setattr("pwnorm.envelope._MAX_NODES", 65_775)
+    with pytest.raises(CapacityError, match="budget of 65775 nodes"):
+        envelope_norm_exact(ones(16), XP_HALF)
+
+
+def test_points_limit_keeps_the_recursion_bounded():
+    lp = make_lp(4.0)
+    with pytest.raises(CapacityError, match="support size 2000"):
+        envelope_norm_exact(ones(2000), lp)  # not a RecursionError
+    x = SparseVector(1, entries=tuple(((i,), 1.0 / i) for i in range(1, 257)))
+    res, asg = envelope_norm_exact(x, lp)
+    assert res.value == family_norm(x, lp).value
+    assert res.candidates_evaluated == 1
+    assert len(asg.points) == 256
+
+
+def test_assignment_ids_past_64_bits():
+    # the winner, all points on the second member, has id 2^70 - 1
+    fam = Family(
+        4.0,
+        1,
+        ExplicitMembers(
+            (PairPW(Discrete(), One(), "discrete"), PairPW(Indiscrete(), One(), "()"))
+        ),
+    )
+    res, asg = envelope_norm_exact(ones(70), fam)  # not an OverflowError
+    assert res.value == family_norm(ones(70), fam).value
+    assert asg.member_labels == ("()",) * 70
+    assert res.candidates_evaluated == 2**70
+
+
+def _xp_instance(rng, n, p=4.0):
+    a = [rng.uniform(-4, 4) for _ in range(n)]
+    w = tuple(rng.uniform(0.05, 1.0) for _ in a)
+    fam = Family(
+        p,
+        1,
+        ExplicitMembers(
+            (
+                PairPW(Discrete(), One(), "discrete"),
+                PairPW(Indiscrete(), Explicit(w, One()), "()"),
+            )
+        ),
+    )
+    x = SparseVector(1, entries=tuple(((i,), v) for i, v in enumerate(a, start=1)))
+    return a, w, fam, x
+
+
+def test_xp_envelope_beyond_the_old_caps_matches_the_prefix_rule():
+    # one seed for every size: the search's cost varies widely between
+    # instances (0.08 s to 10 s at 40 points on a 2-core VM); this seed
+    # keeps the whole test to a few seconds
+    for n in (24, 28, 32, 36, 40):
+        a, w, fam, x = _xp_instance(random.Random(1), n)
+        res, _ = envelope_norm_exact(x, fam)
+        assert res.value == xp_envelope_subset(a, list(w), 4.0).value
+        assert res.candidates_evaluated == 2**n
+
+
+def test_three_members_at_twenty_points():
+    rng = random.Random(20)
+    a = [rng.uniform(-4, 4) for _ in range(20)]
+    pairs = [PairPW(Discrete(), One(), "discrete")] + [
+        PairPW(Indiscrete(), Explicit(tuple(rng.uniform(0.05, 1.0) for _ in a), One()), f"ind{r}")
+        for r in range(2)
+    ]
+    fam = Family(4.0, 1, ExplicitMembers(tuple(pairs)))
+    x = SparseVector(1, entries=tuple(((i,), v) for i, v in enumerate(a, start=1)))
+    res, asg = envelope_norm_exact(x, fam)
+    assert res.candidates_evaluated == 3**20
+    assert res.value == envelope_lower_bound(x, fam, asg)
+    assert res.value >= family_norm(x, fam).value
 
 
 def test_envelope_norm_overflow_is_reported():
@@ -345,6 +422,55 @@ def test_xp_subset_forty_coordinates_in_four_classes():
     assert sub.candidates_evaluated == 41
 
 
+def _prefix_rule_per_prefix(a, w, p):
+    """The prefix rule evaluated afresh at every prefix through
+    canonical_value: the first best prefix, as (value, subset)."""
+    nz = [i for i in range(len(a)) if a[i] != 0.0]
+    order = sorted(
+        nz,
+        key=lambda i: abs(a[i]) ** (p - 2) / (w[i] * w[i]) if w[i] * w[i] > 0.0 else math.inf,
+        reverse=True,
+    )
+    best, best_len = -1.0, 0
+    for j in range(len(order) + 1):
+        cells = [[term(a[i], 1.0)] for i in order[:j]]
+        if order[j:]:
+            cells.append([term(a[i], w[i]) for i in order[j:]])
+        v = canonical_value(cells, p)
+        if v > best:
+            best, best_len = v, j
+    return best, tuple(sorted(i + 1 for i in order[:best_len]))
+
+
+def test_xp_subset_matches_per_prefix_evaluation():
+    rng = random.Random(11)
+    for case in range(120):
+        n = rng.randint(1, 60)
+        p = rng.uniform(2.1, 7.3)
+        # a few distinct (a, w) values, so ratios and cell terms tie
+        pool = [(rng.choice([0.0, rng.uniform(-5, 5), 10 ** rng.uniform(-3, 3)]),
+                 rng.choice([1.0, rng.uniform(0.01, 1.0)])) for _ in range(rng.randint(1, 6))]
+        a, w = map(list, zip(*(rng.choice(pool) for _ in range(n))))
+        sub = xp_envelope_subset(a, w, p)
+        assert (sub.value, sub.subset) == _prefix_rule_per_prefix(a, w, p), case
+        assert sub.candidates_evaluated == sum(v != 0.0 for v in a) + 1
+
+
+def test_xp_subset_is_linear():
+    rng = random.Random(5)
+    a = [rng.uniform(-3, 3) for _ in range(20_000)]
+    w = [rng.uniform(0.01, 1.0) for _ in a]
+    start = time.process_time()
+    sub = xp_envelope_subset(a, w, 4.0)
+    # evaluating all 20,001 prefixes afresh would take minutes
+    assert time.process_time() - start < 5.0
+    chosen = set(sub.subset)
+    cells = [[term(a[i - 1], 1.0)] for i in sorted(chosen)]
+    cells.append([term(a[i], w[i]) for i in range(len(a)) if i + 1 not in chosen])
+    assert sub.value == canonical_value(cells, 4.0)
+    assert sub.candidates_evaluated == 20_001
+
+
 def test_xp_subset_rejects_bad_arguments():
     with pytest.raises(ValidationError, match="not finite"):
         xp_envelope_subset([1.0, math.nan], [0.5, 0.5], 4.0)
@@ -400,18 +526,18 @@ def test_xp_subset_matches_envelope(a, seed):
 @settings(max_examples=40)
 @given(small_families(admissible=True), sparse_vectors(max_points=4))
 def test_envelope_matches_dumb_qt_oracle(fam, x):
-    res, _ = envelope_norm_exact(x, fam, max_members=40)
+    res, _ = envelope_norm_exact(x, fam)
     assert res.value == oracles.qt_norm_dumb(x, fam, fam.p)
 
 
 @settings(max_examples=60)
 @given(small_families(admissible=True), sparse_vectors(max_points=7))
 def test_envelope_matches_qt_oracle(fam, x):
-    res, _ = envelope_norm_exact(x, fam, max_members=40)
+    res, _ = envelope_norm_exact(x, fam)
     assert res.value == oracles.qt_norm_exact(x, fam, fam.p)
 
 
 @given(small_families(admissible=True), sparse_vectors(max_points=5))
 def test_envelope_dominates_family_norm(fam, x):
-    res, _ = envelope_norm_exact(x, fam, max_members=40)
+    res, _ = envelope_norm_exact(x, fam)
     assert res.value >= family_norm(x, fam).value * (1 - 1e-15)

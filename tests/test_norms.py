@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import assume, given
@@ -16,6 +17,7 @@ from pwnorm.errors import (
 )
 from pwnorm.families import lattice_member_weight, restrict_family
 from pwnorm.norms import (
+    _clash,
     canonical_value,
     family_norm,
     member_norm_intensional,
@@ -227,10 +229,14 @@ def test_descriptor_path_keeps_the_restriction_checks():
         family_norm(unit_vector((1, 1)), fam)
     with pytest.raises(SupportError):
         member_norm_intensional(SparseVector(1), Discrete(), One(), 4.0, 1)
-    # geometric decay underflows to 0.0 at 1100, outside (0, 1]
+    # geometric decay underflows to 0.0 at 1100, and is refused there
     far = SparseVector(1, (((1100,), 1.0),))
-    with pytest.raises(ValidationError, match="restricted weight 0.0"):
+    with pytest.raises(ValidationError, match=r"Geometric\(ratio=0.5\) underflows to 0.0 at s = 1100"):
         family_norm(far, make_l2(4.0, Geometric(0.5)))
+    # a product of two nonzero factors still can, outside (0, 1]
+    half = Geometric(0.5)
+    with pytest.raises(ValidationError, match="restricted weight 0.0"):
+        family_norm(SparseVector(1, (((600,), 1.0),)), make_l2(4.0, Product((half, half))))
     # a weight varying along the run forces expansion, capped by max_support
     run = SparseVector(1, blocks=(ConstantBlock((1,), 1, 1, 100, 1.0),))
     with pytest.raises(CapacityError):
@@ -290,6 +296,36 @@ def blocked_vectors(draw):
 def test_closed_form_equals_restricted_pair_norm(x, part, w, p):
     rp = restrict_pair(PairPW(part, w), x.support(), 2)
     assert member_norm_intensional(x, part, w, p, 2) == pair_norm(x, rp, p)
+
+
+def test_clash_matches_a_contains_scan():
+    rng = random.Random(6)
+    verdicts = set()
+    for _ in range(300):
+        arity = rng.randint(1, 3)
+        cells_of = []
+        for _ in range(rng.randint(1, 40)):
+            lo = rng.randint(1, 30)
+            cells_of.append(
+                ConstantBlock(
+                    tuple(rng.randint(1, 3) for _ in range(arity)),
+                    rng.randint(1, arity),
+                    lo,
+                    lo + rng.randint(0, 3),
+                    1.0,
+                )
+            )
+        keys = [tuple(rng.randint(1, 30) for _ in range(arity)) for _ in range(rng.randint(0, 30))]
+        scan = any(
+            blocks_overlap(a, b) for i, a in enumerate(cells_of) for b in cells_of[i + 1 :]
+        ) or any(a.contains(k) for a in cells_of for k in keys)
+        # the same blocks without overlaps among them, so keys decide
+        apart = [b for i, b in enumerate(cells_of) if not any(blocks_overlap(b, c) for c in cells_of[:i])]
+        apart_scan = any(a.contains(k) for a in apart for k in keys)
+        assert _clash(cells_of, keys) == scan
+        assert _clash(apart, keys) == apart_scan
+        verdicts.add(apart_scan)
+    assert verdicts == {True, False}
 
 
 # --- axioms ------------------------------------------------------------------

@@ -1,11 +1,18 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from pwnorm.errors import CapacityError, ValidationError
-from pwnorm.vectors import ConstantBlock, SparseVector, unit_vector
+from pwnorm.vectors import (
+    ConstantBlock,
+    SparseVector,
+    blocks_overlap,
+    first_points_inside,
+    unit_vector,
+)
 
 
 def blk(template=(5, 1), rc=2, lo=1, hi=4, coeff=1.0):
@@ -76,6 +83,65 @@ def test_entry_inside_the_last_of_many_blocks():
     inside = (((55, 130), 1.0), ((52, 130), 1.0))  # both in the last block
     with pytest.raises(ValidationError, match=r"^entry \(52, 130\) lies inside a block$"):
         SparseVector(2, entries=tuple(near) + inside, blocks=blocks)
+
+
+def _random_blocks(rng, arity, count):
+    return [
+        ConstantBlock(
+            tuple(rng.randint(1, 4) for _ in range(arity)),
+            rng.randint(1, arity),
+            lo,
+            lo + rng.randint(0, 6),
+            1.0,
+        )
+        for lo in (rng.randint(1, 8) for _ in range(count))
+    ]
+
+
+def test_first_points_inside_matches_a_scan():
+    rng = random.Random(4)
+    for _ in range(200):
+        arity = rng.randint(1, 3)
+        blocks = _random_blocks(rng, arity, rng.randint(1, 25))
+        points = sorted(tuple(rng.randint(1, 12) for _ in range(arity)) for _ in range(rng.randint(0, 40)))
+        expected = [
+            min((b for b in points if blk.contains(b)), key=lambda b: b[blk.running_coord - 1], default=None)
+            for blk in blocks
+        ]
+        assert first_points_inside(blocks, points) == expected
+
+
+def test_vector_reports_the_first_offender_of_a_scan():
+    # blocks in order; for each, an overlap with a later block comes
+    # before an entry inside it, and the entry found is the lowest one
+    rng = random.Random(9)
+    raised = 0
+    for _ in range(300):
+        blocks = _random_blocks(rng, 2, rng.randint(1, 8))
+        pts = {(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(rng.randint(0, 30))}
+        entries = [(b, 1.0) for b in sorted(pts)]
+        expected = None
+        for i, a in enumerate(blocks):
+            later = [b for b in blocks[i + 1 :] if blocks_overlap(a, b)]
+            inside = [b for b, _ in entries if a.contains(b)]
+            if later:
+                b = later[0]
+                expected = (
+                    f"blocks overlap: {a.key_profile()} [{a.lo},{a.hi}] and "
+                    f"{b.key_profile()} [{b.lo},{b.hi}]"
+                )
+            elif inside:
+                expected = f"entry {min(inside, key=lambda b: b[a.running_coord - 1])} lies inside a block"
+            if expected:
+                break
+        if expected is None:
+            SparseVector(2, tuple(entries), tuple(blocks))
+        else:
+            raised += 1
+            with pytest.raises(ValidationError) as err:
+                SparseVector(2, tuple(entries), tuple(blocks))
+            assert str(err.value) == expected
+    assert 50 < raised < 250
 
 
 def test_blocks_layout_and_support():

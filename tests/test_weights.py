@@ -70,6 +70,14 @@ def test_validation():
         Product(())
 
 
+def test_decay_underflow_is_refused_with_descriptor_and_s():
+    assert Geometric(0.5).value_at((1074,)) == 5e-324  # the least subnormal
+    with pytest.raises(ValidationError, match=r"^weight Geometric\(ratio=0.5\) underflows to 0.0 at s = 1100$"):
+        Geometric(0.5).value_at((1100,))
+    with pytest.raises(ValidationError, match=r"^weight PowerDecay\(alpha=400.0\) underflows to 0.0 at s = 10$"):
+        PowerDecay(400.0).value_at_nat(10)
+
+
 def test_one_dimensional_weight_rejects_wide_index():
     with pytest.raises(ValidationError, match="lift"):
         PowerDecay(0.25).value_at((1, 2))
