@@ -532,18 +532,24 @@ def distortion_certificate(
     (cheap, any support size); without one, the exact envelope norm (a
     search with a node budget).  Any embedding of the given-norm space
     into an envelope-normed superspace has distance at least sqrt(ratio).
+    The given norm on ``envelope(F)`` is that same search's value, so
+    there the node budget, not ``max_pairs``, caps it, and the ratio is 1.
     """
-    given = family_norm(x, f, max_pairs=max_pairs)
-    if given.value <= 0.0:
+    res = None
+    if assignment is None and isinstance(f.members, EnvelopeMembers):
+        res, assignment = envelope_norm_exact(x, f, max_pairs)
+    given = res.value if res is not None else family_norm(x, f, max_pairs=max_pairs).value
+    if given <= 0.0:
         raise ValidationError("distortion certificate needs a nonzero vector")
     if assignment is None:
         res, assignment = envelope_norm_exact(x, f, max_pairs)
+    if res is not None:
         env = res.value
     else:
         env = envelope_lower_bound(x, f, assignment, max_pairs=max_pairs)
-    ratio = env / given.value
+    ratio = env / given
     return DistortionReport(
-        given_norm=given.value,
+        given_norm=given,
         envelope_lb=env,
         ratio=ratio,
         distance_lb=math.sqrt(ratio),

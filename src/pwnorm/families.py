@@ -20,12 +20,13 @@ from typing import Callable, Iterator, Sequence, Union
 from .errors import ArityError, CapacityError, SupportError, ValidationError
 from .indices import Index, check_index
 from .partitions import (
+    CoordinateGrouping,
     PairGrouping,
     PairPW,
     PartitionDescriptor,
     RestrictedPair,
     canonical_cells,
-    restrict_pair,
+    restrict_sorted,
 )
 from .weights import CoordinateLift, One, Product, Weight, is_one
 
@@ -266,7 +267,7 @@ def _restrict_sum(
     per_child: dict[int, list[RestrictedPair]] = {}
     count = 1
     for a in touched:
-        per_child[a] = restrict_family(src.children[a - 1], by_child[a], max_pairs)
+        per_child[a] = _restrict(src.children[a - 1], by_child[a], max_pairs)
         count *= len(per_child[a])
         if count > max_pairs:
             raise CapacityError(
@@ -314,8 +315,8 @@ def _restrict_tensor(
     la = src.left.arity
     lsupp = sorted({b[:la] for b in support})
     rsupp = sorted({b[la:] for b in support})
-    lefts = restrict_family(src.left, lsupp, max_pairs)
-    rights = restrict_family(src.right, rsupp, max_pairs)
+    lefts = _restrict(src.left, lsupp, max_pairs)
+    rights = _restrict(src.right, rsupp, max_pairs)
     if len(lefts) * len(rights) > max_pairs:
         raise CapacityError(
             f"tensor restriction would exceed {max_pairs} member combinations"
@@ -408,7 +409,7 @@ def _restrict_envelope(
     family: Family, src: EnvelopeMembers, support: list[Index], max_pairs: int
 ) -> list[RestrictedPair]:
     pts = sorted(support)
-    choices = cell_choices(restrict_family(src.inner, pts, max_pairs))
+    choices = cell_choices(_restrict(src.inner, pts, max_pairs))
     out: list[RestrictedPair] = []
     total = 0
     for cells in set_partitions(pts):
@@ -451,12 +452,18 @@ def restrict_family(
         raise ValidationError("support must be nonempty")
     for b in pts:
         check_index(b, family.arity)
+    return _restrict(family, pts, max_pairs)
 
+
+def _restrict(family: Family, pts: list[Index], max_pairs: int) -> list[RestrictedPair]:
+    """:func:`restrict_family` on points already sorted, distinct and
+    checked against the family's arity; children, factors and bases are
+    restricted through here, so each point is checked once."""
     src = family.members
     if isinstance(src, ExplicitMembers):
-        raw = [restrict_pair(m, pts, family.arity) for m in src.pairs]
+        raw = [restrict_sorted(m, pts, family.arity) for m in src.pairs]
     elif isinstance(src, SubsetLattice):
-        raw = [restrict_pair(m, pts, family.arity) for m in _lattice_pairs(src)]
+        raw = [restrict_sorted(m, pts, family.arity) for m in _lattice_pairs(src)]
     elif isinstance(src, SumMembers):
         raw = _restrict_sum(family, src, pts, max_pairs)
     elif isinstance(src, TensorMembers):
@@ -464,9 +471,9 @@ def restrict_family(
     elif isinstance(src, EnvelopeMembers):
         raw = _restrict_envelope(family, src, pts, max_pairs)
     elif isinstance(src, ExtendedMembers):
-        raw = restrict_family(
-            Family(family.p, family.arity, src.base), pts, max_pairs
-        ) + [restrict_pair(m, pts, family.arity) for m in src.extra]
+        raw = _restrict(Family(family.p, family.arity, src.base), pts, max_pairs) + [
+            restrict_sorted(m, pts, family.arity) for m in src.extra
+        ]
     else:  # pragma: no cover
         raise ValidationError(f"unknown member source {type(src).__name__}")
 
@@ -479,24 +486,66 @@ def descriptor_members(
     family: Family, max_pairs: int = DEFAULT_MAX_PAIRS
 ) -> list[PairPW] | None:
     """The members in canonical order when each is a partition descriptor
-    with a weight descriptor, else None (composite sources, restricted
-    partitions, weights given by point values).  More than ``max_pairs``
-    members raise :class:`CapacityError` before any is built."""
-    src = family.members
-    while isinstance(src, ExtendedMembers):
-        src = src.base
-    if not isinstance(src, (ExplicitMembers, SubsetLattice)):
+    with a weight descriptor, else None (sums, envelopes, restricted
+    partitions, weights given by point values).  A tensor of two such
+    families lists its products, left-major: the cells of (L)x(R) fix
+    L's coordinates and R's shifted past them, and its weight is L's
+    weight on the left coordinates times R's on the right.  More than
+    ``max_pairs`` members raise :class:`CapacityError` before any is
+    built; tensors count members before the deduplication that
+    restriction does."""
+    count = _descriptor_count(family.members)
+    if count is None:
         return None
-    pairs = list(_listed_pairs(family.members))
-    if not all(
-        isinstance(m.partition, PartitionDescriptor) and isinstance(m.weight, Weight)
-        for m in pairs
-    ):
-        return None
-    lattice = 2**src.n if isinstance(src, SubsetLattice) else 0
-    if lattice + len(pairs) > max_pairs:
-        raise CapacityError(f"{lattice + len(pairs)} members exceed the cap {max_pairs}")
-    return (_lattice_pairs(src) if lattice else []) + pairs
+    if count > max_pairs:
+        raise CapacityError(f"{count} members exceed the cap {max_pairs}")
+    return _descriptor_pairs(family.members)
+
+
+def _descriptor_count(src: MemberSource) -> int | None:
+    """How many members :func:`descriptor_members` lists, or None."""
+    if isinstance(src, ExplicitMembers):
+        return len(src.pairs) if all(map(_is_descriptor, src.pairs)) else None
+    if isinstance(src, SubsetLattice):
+        return 2**src.n
+    if isinstance(src, ExtendedMembers):
+        base = _descriptor_count(src.base)
+        if base is None or not all(map(_is_descriptor, src.extra)):
+            return None
+        return base + len(src.extra)
+    if isinstance(src, TensorMembers):
+        left = _descriptor_count(src.left.members)
+        right = _descriptor_count(src.right.members)
+        return None if left is None or right is None else left * right
+    return None
+
+
+def _is_descriptor(m: PairPW) -> bool:
+    return isinstance(m.partition, PartitionDescriptor) and isinstance(m.weight, Weight)
+
+
+def _descriptor_pairs(src: MemberSource) -> list[PairPW]:
+    if isinstance(src, ExplicitMembers):
+        return list(src.pairs)
+    if isinstance(src, SubsetLattice):
+        return _lattice_pairs(src)
+    if isinstance(src, ExtendedMembers):
+        return _descriptor_pairs(src.base) + list(src.extra)
+    la, ra = src.left.arity, src.right.arity
+    left = tuple(range(1, la + 1))
+    right = tuple(range(la + 1, la + ra + 1))
+    return [
+        PairPW(
+            partition=CoordinateGrouping(
+                lm.partition.fixed_coords(la)
+                | frozenset(la + q for q in rm.partition.fixed_coords(ra))
+            ),
+            weight=Product((CoordinateLift(left, lm.weight), CoordinateLift(right, rm.weight))),
+            label=f"({lm.label})x({rm.label})",
+        )
+        for lm in _descriptor_pairs(src.left.members)
+        for rm in _descriptor_pairs(src.right.members)
+    ]
 
 
 # ---------------------------------------------------------------------------

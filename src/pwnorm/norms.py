@@ -15,12 +15,14 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ArityError, CapacityError, NormOverflowError, SupportError
+import numpy as np
+
+from .errors import ArityError, CapacityError, NormOverflowError, SupportError, ValidationError
 from .families import DEFAULT_MAX_PAIRS, Family, descriptor_members, restrict_family
 from .indices import Index
 from .partitions import PartitionDescriptor, RestrictedPair, check_weight_value
-from .vectors import ConstantBlock, SparseVector, blocks_overlap, first_points_inside
-from .weights import Weight
+from .vectors import ConstantBlock, SparseVector, first_overlap, first_points_inside
+from .weights import CoordinateLift, Product, Weight
 
 __all__ = [
     "NormResult",
@@ -52,6 +54,14 @@ def canonical_value(cell_terms: Sequence[Sequence[float]], p: float, singletons=
         outer_terms = [pow(math.fsum(ts), hp) for ts in cell_terms]
         for k, t in singletons:
             outer_terms.extend(_exact_multiple(k, pow(t, hp)))
+    except OverflowError as exc:
+        raise NormOverflowError(f"norm evaluation overflowed ({exc})") from exc
+    return _root(outer_terms, p)
+
+
+def _root(outer_terms: list[float], p: float) -> float:
+    """(fsum of the cells' powered sums)^{1/p}, refusing overflow."""
+    try:
         outer = math.fsum(outer_terms)
         value = pow(outer, 1.0 / p)
     except OverflowError as exc:
@@ -113,10 +123,12 @@ def family_norm(
 ) -> NormResult:
     """Exact max of member norms over the family, first maximiser's label.
 
-    Members given by descriptors are evaluated from the blocks of ``x`` by
-    :func:`member_norm_intensional` (``max_support`` caps the points it
-    may expand); other sources are restricted to supp(x), at most
-    ``max_support`` points, and normed by :func:`pair_norm`.
+    Members given by descriptors (explicit families, subset lattices and
+    tensor products of these, see :func:`descriptor_members`) are
+    evaluated from the blocks of ``x`` by :func:`member_norm_intensional`
+    (``max_support`` caps the points it may expand); other sources (sums,
+    envelopes) are restricted to supp(x), at most ``max_support`` points,
+    and normed by :func:`pair_norm`.
     """
     if not x.support_size:
         raise SupportError("family_norm needs a vector with nonempty support")
@@ -159,6 +171,31 @@ def member_norm_intensional(
     nothing else, which is checked on their projections to the fixed
     coordinates; on a clash every block is expanded, as are blocks whose
     weight varies along the run, at most ``expand_cap`` points in all.
+
+    The other points are evaluated as columns: the vector's entries (an
+    index matrix and a coefficient column built once per vector) and the
+    expanded blocks' points.  Cells are the runs of equal fixed
+    coordinates after a stable lexicographic sort; a lump's exact parts
+    join the cell of its template.  The value stays exact because numpy
+    only multiplies and compares:
+
+    - weight values come only from the descriptors' own ``value_at``,
+      called once per distinct value of the coordinates a descriptor
+      reads (see :func:`_weight_column`);
+    - a product's factors multiply elementwise in factor order, each
+      product correctly rounded, as ``Product.value_at`` multiplies;
+    - terms are ``(c*c)*(w*w)``, elementwise;
+    - no power is taken by numpy (no ``power``, ``exp``), whose SIMD
+      paths may differ from libm: each cell is ``math.fsum``
+      of its terms (a single term is its own sum) and then Python
+      ``pow(s, p/2)``, in the cells' order of first occurrence.
+
+    fsum is correctly rounded, so the order of the terms within a cell,
+    and of the cells, cannot change a bit.  Errors keep their types and
+    messages: a weight outside (0, 1] names the descriptor and the point,
+    underflow names ``s``, and a lift position past the arity, a
+    one-dimensional descriptor on a higher arity and the ``expand_cap``
+    limit fail as ``value_at`` and the cap do.
     """
     if x.arity != arity:
         raise ArityError(f"vector arity {x.arity} does not match the family arity {arity}")
@@ -171,43 +208,140 @@ def member_norm_intensional(
         return tuple(idx[q] for q in fixed)
 
     def term_at(c: float, idx: Index) -> float:
-        return term(c, check_weight_value(weight.value_at(idx)))
+        return term(c, check_weight_value(weight.value_at(idx), weight, idx))
 
     lumps, splits, varying = [], [], []
     for blk in x.blocks:
         rc = blk.running_coord
         (varying if rc in wdeps else splits if rc - 1 in fixed else lumps).append(blk)
-    points = list(x.entries) + _expand(varying, expand_cap)
+    idx, coeff = _points(x, varying, expand_cap)
     # a split block's cells, as a block on the fixed coordinates
     cells_of = [
         ConstantBlock(key_of(b.template), fixed.index(b.running_coord - 1) + 1, b.lo, b.hi, 1.0)
         for b in splits
     ]
     if cells_of and _clash(
-        cells_of, [key_of(b) for b, _ in points] + [key_of(blk.template) for blk in lumps]
+        cells_of, [tuple(k) for k in idx[:, fixed].tolist()] + [key_of(b.template) for b in lumps]
     ):
         lumps, splits = [], []
-        points = list(x.entries) + _expand(x.blocks, expand_cap)
+        idx, coeff = _points(x, x.blocks, expand_cap)
 
-    cells: dict[tuple[int, ...], list[float]] = {}
-    for b, c in points:
-        cells.setdefault(key_of(b), []).append(term_at(c, b))
+    if len(idx):
+        w = _weight_column(weight, list(idx.T))
+        if not (w.min() > 0.0 and w.max() <= 1.0):  # NaN fails too
+            i = int((~((w > 0.0) & (w <= 1.0))).nonzero()[0][0])
+            check_weight_value(float(w[i]), weight, tuple(idx[i].tolist()))
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = (coeff * coeff) * (w * w)
+    else:
+        terms = coeff
+    # a lump's K terms, as exact parts, filed under the key of its cell
+    lumped: dict[tuple[int, ...], list[float]] = {}
     for blk in lumps:
-        t = term_at(blk.coeff, blk.point_at(blk.lo))
-        cells.setdefault(key_of(blk.template), []).extend(_exact_multiple(blk.size, t))
+        ts = _exact_multiple(blk.size, term_at(blk.coeff, blk.point_at(blk.lo)))
+        lumped.setdefault(key_of(blk.template), []).extend(ts)
     singletons = [(blk.size, term_at(blk.coeff, blk.point_at(blk.lo))) for blk in splits]
-    return canonical_value(list(cells.values()), p, singletons)
+
+    hp = p / 2.0
+    try:
+        if len(fixed) == arity and not lumped:  # distinct points: one term per cell
+            outer = [pow(t, hp) for t in terms.tolist()]
+        else:
+            outer = _cell_powers([idx[:, q] for q in fixed], terms, lumped, hp)
+        for k, t in singletons:
+            outer.extend(_exact_multiple(k, pow(t, hp)))
+    except OverflowError as exc:
+        raise NormOverflowError(f"norm evaluation overflowed ({exc})") from exc
+    return _root(outer, p)
+
+
+def _points(
+    x: SparseVector, blocks: Sequence[ConstantBlock], cap: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index matrix and coefficients of x's entries, then ``blocks``' points."""
+    size = sum(blk.size for blk in blocks)
+    if size > cap:
+        raise CapacityError(f"{size} block points need expanding here, more than the cap {cap}")
+    idx, coeff = x.entry_columns
+    if not blocks:
+        return idx, coeff
+    return (
+        np.concatenate([idx] + [blk.point_matrix() for blk in blocks]),
+        np.concatenate([coeff] + [np.full(blk.size, blk.coeff) for blk in blocks]),
+    )
+
+
+def _runs(cols: Sequence[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For n >= 1 rows of ``cols``: a stable order sorting them
+    lexicographically, and the starts of the runs of equal rows in that
+    order, followed by n."""
+    if not cols:
+        return np.arange(n), np.array([0, n])
+    order = np.lexsort(cols[::-1])
+    new = np.zeros(n + 1, dtype=bool)
+    new[0] = new[n] = True
+    for c in cols:
+        s = c[order]
+        new[1:n] |= s[1:] != s[:-1]
+    return order, new.nonzero()[0]
+
+
+def _cell_powers(
+    keys: list[np.ndarray], terms: np.ndarray, lumped: dict[tuple, list[float]], hp: float
+) -> list[float]:
+    """(fsum of a cell's terms)^hp per cell, in the order of first
+    occurrence: the runs of rows with equal keys, each with the lump
+    terms filed under its key, then the cells of lumps alone."""
+    outer = []
+    if len(terms):
+        order, bounds = _runs(keys, len(terms))
+        ts = terms[order].tolist()
+        firsts = order[bounds[:-1]]
+        b = bounds.tolist()
+        if lumped:  # the cells' keys, to find the lumps that join them
+            cell_keys = list(zip(*(c[firsts].tolist() for c in keys))) or [()]
+        for j in firsts.argsort(kind="stable").tolist():
+            cell = ts[b[j] : b[j + 1]]
+            if lumped:
+                cell += lumped.pop(cell_keys[j], [])
+            outer.append(pow(cell[0], hp) if len(cell) == 1 else pow(math.fsum(cell), hp))
+    outer.extend(pow(math.fsum(ts), hp) for ts in lumped.values())
+    return outer
+
+
+def _weight_column(w: Weight, cols: list[np.ndarray]) -> np.ndarray:
+    """w at every one of the n >= 1 rows of the coordinate columns.
+
+    A product multiplies its factors' columns in factor order, a lift
+    evaluates its inner weight on the selected columns, and any other
+    descriptor calls its own ``value_at`` once per distinct projection of
+    the rows onto ``depends_on``, at the first row with that projection;
+    projections are visited in the order of those rows.
+    """
+    if isinstance(w, Product):
+        v = _weight_column(w.factors[0], cols)
+        for f in w.factors[1:]:
+            v = v * _weight_column(f, cols)
+        return v
+    if isinstance(w, CoordinateLift):
+        for q in w.positions:
+            if q > len(cols):
+                raise ValidationError(f"lift position {q} exceeds arity {len(cols)}")
+        return _weight_column(w.inner, [cols[q - 1] for q in w.positions])
+    n = len(cols[0])
+    deps = [cols[q - 1] for q in sorted(w.depends_on(len(cols))) if q <= len(cols)]
+    order, bounds = _runs(deps, n)
+    firsts = order[bounds[:-1]]
+    visit = firsts.argsort(kind="stable")
+    values = np.empty(len(firsts))
+    values[visit] = [w.value_at(r) for r in zip(*(c[firsts[visit]].tolist() for c in cols))]
+    column = np.empty(n)
+    column[order] = values.repeat(bounds[1:] - bounds[:-1])
+    return column
 
 
 def _clash(cells_of: list[ConstantBlock], keys: list[tuple[int, ...]]) -> bool:
     """Whether split blocks' cells meet each other or any of the keys."""
-    return any(
-        blocks_overlap(a, b) for i, a in enumerate(cells_of) for b in cells_of[i + 1 :]
-    ) or any(hit is not None for hit in first_points_inside(cells_of, sorted(keys)))
-
-
-def _expand(blocks: Sequence[ConstantBlock], cap: int) -> list[tuple[Index, float]]:
-    size = sum(blk.size for blk in blocks)
-    if size > cap:
-        raise CapacityError(f"{size} block points need expanding here, more than the cap {cap}")
-    return [(b, blk.coeff) for blk in blocks for b in blk.points()]
+    return first_overlap(cells_of) is not None or any(
+        hit is not None for hit in first_points_inside(cells_of, sorted(keys))
+    )

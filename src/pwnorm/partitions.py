@@ -30,6 +30,7 @@ __all__ = [
     "PairPW",
     "RestrictedPair",
     "restrict_pair",
+    "restrict_sorted",
     "check_weight_value",
     "canonical_cells",
 ]
@@ -109,10 +110,15 @@ class PairGrouping(PartitionDescriptor):
         )
 
 
-def check_weight_value(v: float) -> float:
-    """A member's weight at a point must lie in (0, 1]; return it unchanged."""
+def check_weight_value(v: float, weight: Weight | None = None, at: Index | None = None) -> float:
+    """A member's weight at a point must lie in (0, 1]; return it unchanged.
+
+    The error names the descriptor and the point when they are given: a
+    product of nonzero factors can still round to 0.0.
+    """
     if not (0.0 < v <= 1.0):
-        raise ValidationError(f"restricted weight {v!r} outside (0, 1]")
+        where = "" if weight is None else f": {weight!r} at {at}"
+        raise ValidationError(f"restricted weight {v!r} outside (0, 1]{where}")
     return v
 
 
@@ -228,7 +234,12 @@ def restrict_pair(pair: PairPW, support: Sequence[Index], arity: int) -> Restric
         raise ValidationError("support must be nonempty")
     for b in pts:
         check_index(b, arity)
+    return restrict_sorted(pair, pts, arity)
 
+
+def restrict_sorted(pair: PairPW, pts: Sequence[Index], arity: int) -> RestrictedPair:
+    """:func:`restrict_pair` on points already sorted, distinct and
+    checked against ``arity``, as a family's restriction passes them."""
     part = pair.partition
     if isinstance(part, RestrictedPartition):
         have = set(part.support)
@@ -249,7 +260,7 @@ def restrict_pair(pair: PairPW, support: Sequence[Index], arity: int) -> Restric
 
     w = pair.weight
     if isinstance(w, Weight):
-        values = tuple(w.value_at(b) for b in pts)
+        values = tuple(check_weight_value(w.value_at(b), w, b) for b in pts)
     else:
         try:
             values = tuple(float(w[b]) for b in pts)

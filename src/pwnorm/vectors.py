@@ -10,16 +10,34 @@ treats them intensionally when the member weights permit.
 from __future__ import annotations
 
 import bisect
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import CapacityError, ValidationError
 from .indices import Index, check_index
 
 __all__ = [
-    "ConstantBlock", "SparseVector", "blocks_overlap", "first_points_inside", "unit_vector"
+    "ConstantBlock",
+    "SparseVector",
+    "blocks_overlap",
+    "first_overlap",
+    "first_points_inside",
+    "unit_vector",
 ]
+
+
+def _index_matrix(rows: Sequence[Sequence[int]], arity: int) -> np.ndarray:
+    """Indices as the rows of an integer matrix: int64, or Python ints
+    (dtype object) when a coordinate does not fit, so none wraps."""
+    try:
+        return np.array(rows, dtype=np.int64).reshape(len(rows), arity)
+    except OverflowError:
+        return np.array(rows, dtype=object).reshape(len(rows), arity)
 
 
 @dataclass(frozen=True)
@@ -79,6 +97,13 @@ class ConstantBlock:
         for s in range(self.lo, self.hi + 1):
             yield self.point_at(s)
 
+    def point_matrix(self) -> np.ndarray:
+        """The block's points, in order, as the rows of an :func:`_index_matrix`."""
+        ends = _index_matrix([self.point_at(self.lo), self.point_at(self.hi)], len(self.template))
+        m = np.repeat(ends[:1], self.size, axis=0)
+        m[:, self.running_coord - 1] = np.arange(self.lo, self.hi + 1, dtype=m.dtype)
+        return m
+
     def key_profile(self) -> tuple:
         """Template with the running slot masked; equal profiles with the
         same running coordinate can only collide on overlapping ranges."""
@@ -109,6 +134,74 @@ def blocks_overlap(a: ConstantBlock, b: ConstantBlock) -> bool:
             if a.template[q] != b.template[q]:
                 return False
     return True
+
+
+def first_overlap(blocks: Sequence[ConstantBlock]) -> tuple[int, int] | None:
+    """The first pair (i, j), i < j, that a scan of all pairs in order
+    finds sharing a point, or None; O(n log n) for n disjoint blocks.
+
+    Blocks with the same ``key_profile`` meet iff their ranges overlap:
+    sorted by ``lo``, a block meets an earlier one iff its ``lo`` is
+    within the furthest reach before it, and a later one iff the next
+    ``lo`` is within its range.  Blocks running along different
+    coordinates ra and rb meet in at most one point: they agree off ra
+    and rb, and there one is a segment along ra at a fixed rb value, the
+    other a segment along rb at a fixed ra value.  A sweep along ra finds
+    such crossings, keeping the segments open at the sweep position
+    sorted by their rb value.  The least block met by any other is the
+    scan's first i; its first partner is then found by direct tests.
+    A handful of blocks is scanned pairwise outright, which costs less.
+    """
+    if len(blocks) <= 8:
+        pairs = itertools.combinations(range(len(blocks)), 2)
+        return next(((i, j) for i, j in pairs if blocks_overlap(blocks[i], blocks[j])), None)
+    met: set[int] = set()
+    profiles: dict[tuple, list[tuple[int, int, int]]] = {}
+    for i, blk in enumerate(blocks):
+        profiles.setdefault(blk.key_profile(), []).append((blk.lo, blk.hi, i))
+    for runs in profiles.values():
+        runs.sort()
+        reach, far = runs[0][1], runs[0][2]
+        for (lo, hi, i), nxt in zip(runs, runs[1:] + [None]):
+            if i != far and lo <= reach:
+                met.update((i, far))
+            if nxt is not None and nxt[0] <= hi:
+                met.update((i, nxt[2]))
+            if hi > reach:
+                reach, far = hi, i
+    coords = sorted({blk.running_coord for blk in blocks})
+    for ra, rb in itertools.combinations(coords, 2):
+        planes: dict[tuple, list[tuple]] = {}
+        for i, blk in enumerate(blocks):
+            rc = blk.running_coord
+            if rc not in (ra, rb):
+                continue
+            rest = tuple(v for q, v in enumerate(blk.template, 1) if q not in (ra, rb))
+            events = planes.setdefault(rest, [])
+            if rc == ra:  # open over lo..hi, at height template[rb]
+                events.append((blk.lo, 0, blk.template[rb - 1], i))
+                events.append((blk.hi, 2, blk.template[rb - 1], i))
+            else:  # crossing at template[ra], over heights lo..hi
+                events.append((blk.template[ra - 1], 1, blk.lo, blk.hi, i))
+        for events in planes.values():
+            events.sort()
+            open_at: list[tuple[int, int]] = []
+            for ev in events:
+                if ev[1] == 0:
+                    bisect.insort(open_at, ev[2:])
+                elif ev[1] == 2:
+                    del open_at[bisect.bisect_left(open_at, ev[2:])]
+                else:
+                    _, _, lo, hi, i = ev
+                    a, b = bisect.bisect_left(open_at, (lo,)), bisect.bisect_left(open_at, (hi + 1,))
+                    hits = open_at[a:b]
+                    if hits:
+                        met.add(i)
+                        met.update(j for _, j in hits)
+    if not met:
+        return None
+    i = min(met)
+    return i, next(j for j in range(i + 1, len(blocks)) if blocks_overlap(blocks[i], blocks[j]))
 
 
 def first_points_inside(
@@ -164,16 +257,26 @@ class SparseVector:
                     f"block template arity {len(blk.template)} != vector arity {self.arity}"
                 )
         inside = first_points_inside(self.blocks, [idx for idx, _ in ents])
+        overlap = first_overlap(self.blocks)
         for i, a in enumerate(self.blocks):
-            for b in self.blocks[i + 1 :]:
-                if blocks_overlap(a, b):
-                    raise ValidationError(
-                        f"blocks overlap: {a.key_profile()} [{a.lo},{a.hi}] and "
-                        f"{b.key_profile()} [{b.lo},{b.hi}]"
-                    )
+            if overlap is not None and overlap[0] == i:
+                b = self.blocks[overlap[1]]
+                raise ValidationError(
+                    f"blocks overlap: {a.key_profile()} [{a.lo},{a.hi}] and "
+                    f"{b.key_profile()} [{b.lo},{b.hi}]"
+                )
             if inside[i] is not None:
                 raise ValidationError(f"entry {inside[i]} lies inside a block")
         object.__setattr__(self, "entries", tuple(ents))
+
+    @functools.cached_property
+    def entry_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The entries as an :func:`_index_matrix` and a float column of
+        their coefficients, in entry order; built once per vector."""
+        return (
+            _index_matrix([idx for idx, _ in self.entries], self.arity),
+            np.array([c for _, c in self.entries], dtype=float),
+        )
 
     @property
     def support_size(self) -> int:

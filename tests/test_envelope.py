@@ -365,6 +365,24 @@ def test_distortion_accepts_precomputed_assignment():
     assert rep.envelope_lb == 1.5650845800732873
 
 
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_distortion_on_a_closure_searches_once(n, monkeypatch):
+    # the given norm on envelope(F) is the search's value, the closure's
+    # listing is never built, and it equals the listing's norm
+    x = SparseVector(1, tuple(((i,), (-1.0) ** i / i) for i in range(1, n + 1)))
+    fam = envelope_family(GAP_FAMILY)
+    listed = family_norm(x, fam).value
+    searches = []
+    monkeypatch.setattr("pwnorm.envelope.family_norm", None)
+    monkeypatch.setattr(
+        "pwnorm.envelope.envelope_norm_exact",
+        lambda *a: searches.append(a) or envelope_norm_exact(*a),
+    )
+    rep = distortion_certificate(x, fam)
+    assert rep.given_norm == rep.envelope_lb == listed
+    assert rep.ratio == 1.0 and len(searches) == 1
+
+
 # --- subset machinery -------------------------------------------------------
 
 

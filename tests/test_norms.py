@@ -6,7 +6,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import oracles
-from conftest import lp_norm_of, rel_err, small_families, sparse_vectors
+from conftest import lp_norm_of, p_values, rel_err, small_families, sparse_vectors
 from pwnorm.cli import main
 from pwnorm.errors import (
     ArityError,
@@ -15,7 +15,7 @@ from pwnorm.errors import (
     SupportError,
     ValidationError,
 )
-from pwnorm.families import lattice_member_weight, restrict_family
+from pwnorm.families import Family, descriptor_members, lattice_member_weight, restrict_family
 from pwnorm.norms import (
     _clash,
     canonical_value,
@@ -43,7 +43,18 @@ from pwnorm.spaces import (
     tensor_family,
 )
 from pwnorm.vectors import ConstantBlock, SparseVector, blocks_overlap, unit_vector
-from pwnorm.weights import Constant, CoordinateLift, Geometric, One, PowerDecay, Product
+from pwnorm.weights import (
+    Constant,
+    CoordinateLift,
+    Explicit,
+    Geometric,
+    Interleave,
+    Min,
+    One,
+    PowerDecay,
+    Product,
+    Weight,
+)
 from pwnorm.experiments import yn_default_params, yn_witness
 
 
@@ -158,6 +169,12 @@ def test_intensional_lump_block_bitwise():
     v = member_norm_intensional(x, Indiscrete(), Constant(0.5), 4.0, 2)
     flat = member_norm_intensional(x.expand(), Indiscrete(), Constant(0.5), 4.0, 2)
     assert v == flat
+    # entries in the lump's cell and beside it: the lump's terms join its cell
+    x = SparseVector(2, (((3, 70), 0.5), ((2, 70), -0.75), ((3, 90), 0.125)), (b,))
+    for part in (Indiscrete(), CoordinateGrouping(frozenset({1}))):
+        v = member_norm_intensional(x, part, Constant(0.5), 4.0, 2)
+        assert v == member_norm_intensional(x.expand(), part, Constant(0.5), 4.0, 2)
+        assert v == pair_norm(x, restrict_pair(PairPW(part, Constant(0.5)), x.support(), 2), 4.0)
 
 
 def test_intensional_weight_depending_on_running_coord_expands():
@@ -233,10 +250,17 @@ def test_descriptor_path_keeps_the_restriction_checks():
     far = SparseVector(1, (((1100,), 1.0),))
     with pytest.raises(ValidationError, match=r"Geometric\(ratio=0.5\) underflows to 0.0 at s = 1100"):
         family_norm(far, make_l2(4.0, Geometric(0.5)))
-    # a product of two nonzero factors still can, outside (0, 1]
+    # a product of two nonzero factors still can, outside (0, 1]; both
+    # paths name the descriptor and the point
     half = Geometric(0.5)
-    with pytest.raises(ValidationError, match="restricted weight 0.0"):
-        family_norm(SparseVector(1, (((600,), 1.0),)), make_l2(4.0, Product((half, half))))
+    prod = Product((half, half))
+    named = "restricted weight 0.0 outside (0, 1]: " + repr(prod) + " at (600,)"
+    with pytest.raises(ValidationError, match="restricted weight 0.0") as err:
+        family_norm(SparseVector(1, (((600,), 1.0),)), make_l2(4.0, prod))
+    assert str(err.value) == named
+    with pytest.raises(ValidationError) as err:
+        restrict_pair(PairPW(Indiscrete(), prod), [(600,)], 1)
+    assert str(err.value) == named
     # a weight varying along the run forces expansion, capped by max_support
     run = SparseVector(1, blocks=(ConstantBlock((1,), 1, 1, 100, 1.0),))
     with pytest.raises(CapacityError):
@@ -250,6 +274,21 @@ WEIGHTS_2D = [
     CoordinateLift((1,), PowerDecay(0.7)),
     CoordinateLift((2,), PowerDecay(0.4)),
     Product((Constant(0.9), CoordinateLift((2,), Geometric(0.8)))),
+    Product(
+        (
+            CoordinateLift((1,), Interleave(PowerDecay(0.1), Constant(0.6))),
+            CoordinateLift((2,), PowerDecay(0.05)),
+            Constant(0.7),
+        )
+    ),
+    Min(
+        (
+            CoordinateLift((1,), PowerDecay(0.3)),
+            CoordinateLift((2,), Explicit((0.5, 0.9), PowerDecay(0.2))),
+        )
+    ),
+    CoordinateLift((2,), Interleave(Constant(0.6), Geometric(0.9))),
+    CoordinateLift((2, 1), Product((CoordinateLift((1,), PowerDecay(0.2)), Constant(0.8)))),
 ]
 PARTITIONS_2D = [
     Discrete(),
@@ -262,13 +301,15 @@ block_coeffs = st.floats(min_value=1e-3, max_value=1e3)
 
 @st.composite
 def blocked_vectors(draw):
-    """Arity-2 vectors with a few entries and lump or split blocks."""
-    coord = st.integers(min_value=1, max_value=9)
+    """Arity-2 vectors with a few entries and lump or split blocks, their
+    coordinates shifted past int64 in some draws."""
+    shift = draw(st.sampled_from([0, 0, 2**63 - 12, 2**64]))
+    coord = st.integers(min_value=1 + shift, max_value=9 + shift)
     pts = draw(st.lists(st.tuples(coord, coord), max_size=5, unique=True))
     entries = tuple((b, draw(block_coeffs)) for b in pts)
     blocks = []
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
-        lo = draw(st.integers(min_value=1, max_value=9))
+        lo = draw(coord)
         blocks.append(
             ConstantBlock(
                 (draw(coord), draw(coord)),
@@ -294,8 +335,71 @@ def blocked_vectors(draw):
     st.sampled_from([2.5, 3.0, 4.0, 5.5]),
 )
 def test_closed_form_equals_restricted_pair_norm(x, part, w, p):
-    rp = restrict_pair(PairPW(part, w), x.support(), 2)
+    try:
+        rp = restrict_pair(PairPW(part, w), x.support(), 2)
+    except ValidationError:  # a geometric factor underflows past 2**63
+        with pytest.raises(ValidationError, match="underflows to 0.0"):
+            member_norm_intensional(x, part, w, p, 2)
+        return
     assert member_norm_intensional(x, part, w, p, 2) == pair_norm(x, rp, p)
+
+
+@st.composite
+def tensor_cases(draw):
+    """A tensor of admissible one-dimensional families (some admissible(lp)),
+    nested on either side in some draws, and a vector on its arity."""
+    p = draw(p_values)
+
+    def factor():
+        if draw(st.booleans()):
+            return make_admissible(make_lp(p))
+        return Family(p, 1, draw(small_families(admissible=True)).members)
+
+    fam = tensor_family(factor(), factor())
+    nest = draw(st.sampled_from(["none", "left", "right"]))
+    if nest == "left":
+        fam = tensor_family(fam, factor())
+    elif nest == "right":
+        fam = tensor_family(factor(), fam)
+    return fam, draw(sparse_vectors(arity=fam.arity, max_points=7))
+
+
+@given(tensor_cases())
+def test_tensor_descriptors_match_the_restriction(case):
+    fam, x = case
+    assert descriptor_members(fam) is not None
+    got = family_norm(x, fam)
+    scored = [(pair_norm(x, rp, fam.p), rp.label) for rp in restrict_family(fam, x.support())]
+    best = max(v for v, _ in scored)
+    assert got.value == best
+    assert got.argmax_member == next(label for v, label in scored if v == best)
+
+
+class CountingWeight(Weight):
+    """1/s on one coordinate, recording every evaluation."""
+
+    def __init__(self) -> None:
+        self.seen: list = []
+
+    def value_at(self, idx):
+        self.seen.append(idx)
+        return 1.0 / idx[0]
+
+    def depends_on(self, arity):
+        return frozenset({1})
+
+
+def test_weights_are_evaluated_once_per_distinct_value():
+    counting = CountingWeight()
+    w = CoordinateLift((2,), counting)
+    x = SparseVector(
+        2, tuple(((i, j), 1.0 / (i + j)) for i in range(1, 21) for j in range(1, 31)), ()
+    )
+    part = CoordinateGrouping(frozenset({1}))
+    v = member_norm_intensional(x, part, w, 4.0, 2)
+    assert sorted(counting.seen) == [(j,) for j in range(1, 31)]
+    assert v == pair_norm(x, restrict_pair(PairPW(part, w), x.support(), 2), 4.0)
+    assert len(counting.seen) == 30 + 600
 
 
 def test_clash_matches_a_contains_scan():
@@ -325,6 +429,29 @@ def test_clash_matches_a_contains_scan():
         assert _clash(cells_of, keys) == scan
         assert _clash(apart, keys) == apart_scan
         verdicts.add(apart_scan)
+    assert verdicts == {True, False}
+    # sparser layouts of up to 120 cells, crossing along every pair of
+    # coordinates, where most draws are disjoint
+    verdicts = set()
+    for _ in range(200):
+        arity = rng.randint(2, 4)
+        cells_of = []
+        for _ in range(rng.randint(2, 120)):
+            lo = rng.randint(1, 60)
+            cells_of.append(
+                ConstantBlock(
+                    tuple(rng.randint(1, 60) for _ in range(arity)),
+                    rng.randint(1, arity),
+                    lo,
+                    lo + rng.randint(0, 10),
+                    1.0,
+                )
+            )
+        scan = any(
+            blocks_overlap(a, b) for i, a in enumerate(cells_of) for b in cells_of[i + 1 :]
+        )
+        assert _clash(cells_of, []) == scan
+        verdicts.add(scan)
     assert verdicts == {True, False}
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -10,6 +11,7 @@ from pwnorm.vectors import (
     ConstantBlock,
     SparseVector,
     blocks_overlap,
+    first_overlap,
     first_points_inside,
     unit_vector,
 )
@@ -142,6 +144,60 @@ def test_vector_reports_the_first_offender_of_a_scan():
                 SparseVector(2, tuple(entries), tuple(blocks))
             assert str(err.value) == expected
     assert 50 < raised < 250
+
+
+def test_construction_matches_a_pairwise_scan_of_many_blocks():
+    # up to 150 blocks on arity 1-4, crossing along every pair of
+    # coordinates: the constructor refuses exactly what a scan of all
+    # pairs finds, with the scan's first offending pair
+    rng = random.Random(12)
+    raised = 0
+    for _ in range(150):
+        arity = rng.randint(1, 4)
+        blocks = []
+        for _ in range(rng.randint(2, 150)):
+            lo = rng.randint(1, 80)
+            blocks.append(
+                ConstantBlock(
+                    tuple(rng.randint(1, 40) for _ in range(arity)),
+                    rng.randint(1, arity),
+                    lo,
+                    lo + rng.randint(0, 12),
+                    1.0,
+                )
+            )
+        pairs = [
+            (i, j)
+            for i, a in enumerate(blocks)
+            for j in range(i + 1, len(blocks))
+            if blocks_overlap(a, blocks[j])
+        ]
+        assert first_overlap(blocks) == (pairs[0] if pairs else None)
+        if not pairs:
+            SparseVector(arity, (), tuple(blocks))
+            continue
+        raised += 1
+        a, b = (blocks[k] for k in pairs[0])
+        with pytest.raises(ValidationError) as err:
+            SparseVector(arity, (), tuple(blocks))
+        assert str(err.value) == (
+            f"blocks overlap: {a.key_profile()} [{a.lo},{a.hi}] and "
+            f"{b.key_profile()} [{b.lo},{b.hi}]"
+        )
+    assert 30 < raised < 120
+
+
+def test_many_disjoint_blocks_are_checked_fast():
+    # 2,000 runs along coordinate 2 and 2,000 crossing them along
+    # coordinate 1 between the rows; a pairwise scan took seconds
+    along = [ConstantBlock((k, 1), 2, 1, 500, 1.0) for k in range(2, 4002, 2)]
+    across = [ConstantBlock((1, k), 1, 1, 4001, 1.0) for k in range(501, 2501)]
+    t0 = time.process_time()
+    x = SparseVector(2, (((3, 1), 1.0),), tuple(along + across))
+    assert time.process_time() - t0 < 1.0
+    assert x.support_size == 1 + 2000 * 500 + 2000 * 4001
+    with pytest.raises(ValidationError, match="blocks overlap"):
+        SparseVector(2, (), tuple(along + across + [ConstantBlock((1, 400), 1, 3000, 3001, 1.0)]))
 
 
 def test_blocks_layout_and_support():
