@@ -195,7 +195,8 @@ def member_norm_intensional(
     messages: a weight outside (0, 1] names the descriptor and the point,
     underflow names ``s``, and a lift position past the arity, a
     one-dimensional descriptor on a higher arity and the ``expand_cap``
-    limit fail as ``value_at`` and the cap do.
+    limit fail as ``value_at`` and the cap do.  With several failing
+    points, the one raised is the first in row order.
     """
     if x.arity != arity:
         raise ArityError(f"vector arity {x.arity} does not match the family arity {arity}")
@@ -227,10 +228,7 @@ def member_norm_intensional(
         idx, coeff = _points(x, x.blocks, expand_cap)
 
     if len(idx):
-        w = _weight_column(weight, list(idx.T))
-        if not (w.min() > 0.0 and w.max() <= 1.0):  # NaN fails too
-            i = int((~((w > 0.0) & (w <= 1.0))).nonzero()[0][0])
-            check_weight_value(float(w[i]), weight, tuple(idx[i].tolist()))
+        w = _checked_weight_column(weight, idx)
         with np.errstate(over="ignore", invalid="ignore"):
             terms = (coeff * coeff) * (w * w)
     else:
@@ -244,10 +242,7 @@ def member_norm_intensional(
 
     hp = p / 2.0
     try:
-        if len(fixed) == arity and not lumped:  # distinct points: one term per cell
-            outer = [pow(t, hp) for t in terms.tolist()]
-        else:
-            outer = _cell_powers([idx[:, q] for q in fixed], terms, lumped, hp)
+        outer = _cell_powers([idx[:, q] for q in fixed], terms, lumped, hp)
         for k, t in singletons:
             outer.extend(_exact_multiple(k, pow(t, hp)))
     except OverflowError as exc:
@@ -307,6 +302,30 @@ def _cell_powers(
             outer.append(pow(cell[0], hp) if len(cell) == 1 else pow(math.fsum(cell), hp))
     outer.extend(pow(math.fsum(ts), hp) for ts in lumped.values())
     return outer
+
+
+def _checked_weight_column(w: Weight, idx: np.ndarray) -> np.ndarray:
+    """:func:`_weight_column` at the rows of ``idx``, every value in (0, 1].
+
+    When an evaluation fails or a value is out of range, the rows are
+    evaluated and checked again one by one in order, so the error raised
+    is the one a walk over the points meets first.
+    """
+    try:
+        column = _weight_column(w, list(idx.T))
+    except Exception:
+        _first_failure(w, idx)
+        raise
+    if not (column.min() > 0.0 and column.max() <= 1.0):  # NaN fails too
+        _first_failure(w, idx)
+        raise AssertionError(f"the column of {w!r} disagrees with its value_at")
+    return column
+
+
+def _first_failure(w: Weight, idx: np.ndarray) -> None:
+    for row in idx.tolist():
+        b = tuple(row)
+        check_weight_value(w.value_at(b), w, b)
 
 
 def _weight_column(w: Weight, cols: list[np.ndarray]) -> np.ndarray:

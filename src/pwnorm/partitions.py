@@ -13,7 +13,7 @@ element, points sorted within each cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Mapping, Sequence, Union
 
 from .errors import ArityError, SupportError, ValidationError
@@ -30,7 +30,6 @@ __all__ = [
     "PairPW",
     "RestrictedPair",
     "restrict_pair",
-    "restrict_sorted",
     "check_weight_value",
     "canonical_cells",
 ]
@@ -171,19 +170,23 @@ class PairPW:
 class RestrictedPair:
     """A member restricted to a finite support: explicit cells and weights.
 
-    ``support`` is sorted; ``weight_values`` aligns with it.
+    ``support`` is sorted; ``weight_values`` aligns with it.  Each value
+    is checked to lie in (0, 1] unless ``values_checked`` says the caller
+    has done so.
     """
 
     support: tuple[Index, ...]
     cells: tuple[tuple[Index, ...], ...]
     weight_values: tuple[float, ...]
     label: str = ""
+    values_checked: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, values_checked: bool) -> None:
         if len(self.support) != len(self.weight_values):
             raise ValidationError("one weight value per support point required")
-        for v in self.weight_values:
-            check_weight_value(v)
+        if not values_checked:
+            for v in self.weight_values:
+                check_weight_value(v)
 
     def weight_at(self, b: Index) -> float:
         return self.weight_values[self.support.index(b)]
@@ -234,10 +237,10 @@ def restrict_pair(pair: PairPW, support: Sequence[Index], arity: int) -> Restric
         raise ValidationError("support must be nonempty")
     for b in pts:
         check_index(b, arity)
-    return restrict_sorted(pair, pts, arity)
+    return _restrict_sorted(pair, pts, arity)
 
 
-def restrict_sorted(pair: PairPW, pts: Sequence[Index], arity: int) -> RestrictedPair:
+def _restrict_sorted(pair: PairPW, pts: Sequence[Index], arity: int) -> RestrictedPair:
     """:func:`restrict_pair` on points already sorted, distinct and
     checked against ``arity``, as a family's restriction passes them."""
     part = pair.partition
@@ -272,4 +275,5 @@ def restrict_sorted(pair: PairPW, pts: Sequence[Index], arity: int) -> Restricte
         cells=canonical_cells(cells),
         weight_values=values,
         label=pair.label,
+        values_checked=isinstance(w, Weight),
     )

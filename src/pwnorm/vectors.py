@@ -150,11 +150,7 @@ def first_overlap(blocks: Sequence[ConstantBlock]) -> tuple[int, int] | None:
     such crossings, keeping the segments open at the sweep position
     sorted by their rb value.  The least block met by any other is the
     scan's first i; its first partner is then found by direct tests.
-    A handful of blocks is scanned pairwise outright, which costs less.
     """
-    if len(blocks) <= 8:
-        pairs = itertools.combinations(range(len(blocks)), 2)
-        return next(((i, j) for i, j in pairs if blocks_overlap(blocks[i], blocks[j])), None)
     met: set[int] = set()
     profiles: dict[tuple, list[tuple[int, int, int]]] = {}
     for i, blk in enumerate(blocks):

@@ -268,6 +268,46 @@ def test_descriptor_path_keeps_the_restriction_checks():
     assert family_norm(run, make_l2(4.0, PowerDecay(0.5)), max_support=100).value > 0
 
 
+def test_the_first_failing_point_is_reported():
+    # the columns would evaluate Geometric(0.5) at s = 1100 first; a walk
+    # over the points meets Geometric(0.25) at s = 600 first
+    w = Product((CoordinateLift((1,), Geometric(0.5)), CoordinateLift((2,), Geometric(0.25))))
+    x = SparseVector(2, (((1, 600), 1.0), ((1100, 1), 1.0)))
+    with pytest.raises(ValidationError, match=r"Geometric\(ratio=0.25\) underflows to 0.0 at s = 600"):
+        member_norm_intensional(x, Discrete(), w, 4.0, 2)
+    # a weight rounding to 0.0 at the first point, an underflow at the next
+    half = Geometric(0.5)
+    w = Product((CoordinateLift((1,), Product((half, half))), CoordinateLift((2,), Geometric(0.25))))
+    x = SparseVector(2, (((600, 1), 1.0), ((700, 600), 1.0)))
+    named = "restricted weight 0.0 outside (0, 1]: " + repr(w) + " at (600, 1)"
+    for part in (Discrete(), Indiscrete(), CoordinateGrouping(frozenset({2}))):
+        with pytest.raises(ValidationError) as err:
+            member_norm_intensional(x, part, w, 4.0, 2)
+        assert str(err.value) == named
+    with pytest.raises(ValidationError) as err:
+        restrict_pair(PairPW(Discrete(), w), x.support(), 2)
+    assert str(err.value) == named
+
+
+def test_tensors_of_lattices_and_past_the_cap_are_restricted():
+    p = 4.0
+    xp = make_rosenthal_xp(p, PowerDecay(1.0))
+    yn = make_Yn(p, 2, PowerDecay(1.0))
+    for fam in (tensor_family(xp, yn), tensor_family(make_admissible(yn), xp)):
+        assert descriptor_members(fam) is None
+    # the factors' two members coincide at s = 1, so restriction leaves
+    # one product where four are listed
+    sch = tensor_family(xp, make_rosenthal_xp(p, PowerDecay(2.0)))
+    assert len(descriptor_members(sch)) == 4
+    assert descriptor_members(sch, max_pairs=2) is None
+    x = SparseVector(2, (((1, 1), 2.0),))
+    listed, restricted = family_norm(x, sch), family_norm(x, sch, max_pairs=2)
+    assert (listed.value, listed.argmax_member) == (restricted.value, restricted.argmax_member)
+    assert (listed.candidates_evaluated, restricted.candidates_evaluated) == (4, 1)
+    with pytest.raises(CapacityError):
+        descriptor_members(yn, max_pairs=3)
+
+
 WEIGHTS_2D = [
     One(),
     Constant(0.3),

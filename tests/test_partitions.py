@@ -86,6 +86,8 @@ def test_restrict_pair_from_mapping_weight():
     assert rp.weight_map() == {b: 0.5 for b in PTS}
     with pytest.raises(SupportError, match="no weight value"):
         restrict_pair(PairPW(Indiscrete(), {PTS[0]: 0.5}, "partial"), PTS, 2)
+    with pytest.raises(ValidationError, match=r"restricted weight 1.5 outside \(0, 1\]$"):
+        restrict_pair(PairPW(Indiscrete(), {b: 1.5 for b in PTS}, "heavy"), PTS, 2)
 
 
 def test_restricted_pair_weight_validation():
