@@ -21,11 +21,12 @@ import csv
 import sys
 from typing import Sequence
 
+from . import norms
 from .config import build_space, build_weight, format_node, parse_config
 from .envelope import distortion_certificate, envelope_norm_exact, has_envelope_property
 from .errors import CapacityError, ParseError, PwnormError, ValidationError
 from .experiments import rosenthal_mc, yn_default_params, yn_report
-from .norms import DEFAULT_MAX_SUPPORT, family_norm
+from .norms import family_norm
 from .spaces import classify_rosenthal
 from .vectors import ConstantBlock, SparseVector
 from .weights import PowerDecay
@@ -232,7 +233,7 @@ def _cmd_classify(args) -> int:
 def _cmd_check_envelope(args) -> int:
     p, expr, family = _load_family(args)
     x = read_vector(_need(args, "vector", "--vector"), family.arity)
-    support = x.support(cap=DEFAULT_MAX_SUPPORT)
+    support = x.support(cap=norms.MAX_SUPPORT)
     check = has_envelope_property(family, support, max_members=args.cap_members)
     if check.holds:
         kind = "exhaustively" if check.exhaustive else "on sampled refinements"

@@ -27,17 +27,11 @@ import sys
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
+from . import norms
 from .errors import CapacityError, NormOverflowError, ValidationError
-from .families import (
-    DEFAULT_MAX_PAIRS,
-    EnvelopeMembers,
-    Family,
-    cell_choices,
-    glue_restrictions,
-    restrict_family,
-)
+from .families import EnvelopeMembers, Family, cell_choices, glue_restrictions, restrict_family
 from .indices import Index
-from .norms import DEFAULT_MAX_SUPPORT, NormResult, family_norm, pair_norm, term
+from .norms import NormResult, family_norm, pair_norm, term
 from .partitions import PairPW, RestrictedPair, RestrictedPartition, restrict_pair
 from .vectors import SparseVector
 
@@ -55,7 +49,7 @@ __all__ = [
     "assignment_pair",
 ]
 
-DEFAULT_CHECK_SUPPORT = 6
+CHECK_MAX_POINTS = 6  # points an exhaustive property check takes at most
 DEFAULT_CHECK_MEMBERS = 4
 
 _NEAR_BAND = 1e-11  # relative slack for collecting re-evaluation candidates
@@ -119,12 +113,12 @@ def refine(
     return glue_restrictions(Q.support, parts, label or "refined")
 
 
-def _searched_members(f: Family, supp: Sequence[Index], max_pairs: int) -> list[RestrictedPair]:
+def _searched_members(f: Family, supp: Sequence[Index]) -> list[RestrictedPair]:
     """The members searched: the closure is idempotent, so envelope(F)
     is searched as F, its envelope layers stripped before restricting."""
     while isinstance(f.members, EnvelopeMembers):
         f = f.members.inner
-    return restrict_family(f, supp, max_pairs)
+    return restrict_family(f, supp)
 
 
 def assignment_pair(
@@ -145,11 +139,10 @@ def assignment_pair(
 def has_envelope_property(
     f: Family,
     support: Sequence[Index],
-    max_support: int = DEFAULT_CHECK_SUPPORT,
+    *,
     max_members: int = DEFAULT_CHECK_MEMBERS,
     sample: int | None = None,
     seed: int = 0,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
 ) -> EnvelopeCheck:
     """Is the family closed under refinement on this support?
 
@@ -166,8 +159,9 @@ def has_envelope_property(
     order with the first member's label; ``checked`` counts the pairs of
     choices glued.
 
-    Exhaustive within the caps; with no ``sample`` the point cap is
-    checked before the family is restricted, the member cap after.
+    Exhaustive within the caps, :data:`CHECK_MAX_POINTS` points and
+    ``max_members`` members; with no ``sample`` the point cap is checked
+    before the family is restricted, the member cap after.
     Beyond them, ``sample=N`` glues N random two-cell refinements (a
     non-empty second cell, then a member per cell, drawn from
     ``random.Random(seed)``): a probabilistic verdict, marked
@@ -176,11 +170,11 @@ def has_envelope_property(
     opt_in = "pass sample=N to opt into randomized (probabilistic) checking"
     pts = sorted(set(support))
     n = len(pts)
-    if sample is None and n > max_support:
-        raise CapacityError(f"{n} points exceed the exhaustive cap {max_support}; {opt_in}")
-    members = restrict_family(f, pts, max_pairs)
+    if sample is None and n > CHECK_MAX_POINTS:
+        raise CapacityError(f"{n} points exceed the exhaustive cap {CHECK_MAX_POINTS}; {opt_in}")
+    members = restrict_family(f, pts)
     member_keys = {rp.canonical_key() for rp in members}
-    exhaustive = n <= max_support and len(members) <= max_members
+    exhaustive = n <= CHECK_MAX_POINTS and len(members) <= max_members
     if not exhaustive and sample is None:
         raise CapacityError(f"{len(members)} members exceed the exhaustive cap {max_members}; {opt_in}")
 
@@ -216,9 +210,7 @@ def has_envelope_property(
 # ---------------------------------------------------------------------------
 # exact envelope norm by assignment search
 
-def envelope_norm_exact(
-    x: SparseVector, f: Family, max_pairs: int = DEFAULT_MAX_PAIRS
-) -> tuple[NormResult, Assignment]:
+def envelope_norm_exact(x: SparseVector, f: Family) -> tuple[NormResult, Assignment]:
     """Maximize the refined-pair norm over all point→member assignments.
 
     Returns the canonical value and the lexicographically smallest
@@ -244,7 +236,7 @@ def envelope_norm_exact(
     the search certifies, pruned or not.
     """
     supp = x.support(cap=_MAX_POINTS)
-    members = _searched_members(f, supp, max_pairs)
+    members = _searched_members(f, supp)
     k = len(members)
 
     items = dict(x.items())
@@ -393,17 +385,12 @@ def _within_band(ids: list[int], vals: list[float], best: float) -> tuple[list, 
     return [ids[j] for j in kept], [vals[j] for j in kept]
 
 
-def envelope_lower_bound(
-    x: SparseVector,
-    f: Family,
-    assignment: Assignment,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
-    max_support: int = DEFAULT_MAX_SUPPORT,
-) -> float:
+def envelope_lower_bound(x: SparseVector, f: Family, assignment: Assignment) -> float:
     """Norm of the single refined pair induced by the assignment —
-    always a lower bound for the envelope norm."""
-    supp = x.support(cap=max_support)
-    members = _searched_members(f, supp, max_pairs)
+    always a lower bound for the envelope norm.  The support may hold
+    up to :data:`pwnorm.norms.MAX_SUPPORT` points."""
+    supp = x.support(cap=norms.MAX_SUPPORT)
+    members = _searched_members(f, supp)
     by_label: dict[str, int] = {}
     for i, rp in enumerate(members):
         by_label.setdefault(rp.label, i)
@@ -524,7 +511,6 @@ def distortion_certificate(
     x: SparseVector,
     f: Family,
     assignment: Assignment | None = None,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
 ) -> DistortionReport:
     """Certified distortion: envelope bound over given norm.
 
@@ -533,20 +519,21 @@ def distortion_certificate(
     search with a node budget).  Any embedding of the given-norm space
     into an envelope-normed superspace has distance at least sqrt(ratio).
     The given norm on ``envelope(F)`` is that same search's value, so
-    there the node budget, not ``max_pairs``, caps it, and the ratio is 1.
+    there the node budget, not the closure's listing, caps it, and the
+    ratio is 1.
     """
     res = None
     if assignment is None and isinstance(f.members, EnvelopeMembers):
-        res, assignment = envelope_norm_exact(x, f, max_pairs)
-    given = res.value if res is not None else family_norm(x, f, max_pairs=max_pairs).value
+        res, assignment = envelope_norm_exact(x, f)
+    given = res.value if res is not None else family_norm(x, f).value
     if given <= 0.0:
         raise ValidationError("distortion certificate needs a nonzero vector")
     if assignment is None:
-        res, assignment = envelope_norm_exact(x, f, max_pairs)
+        res, assignment = envelope_norm_exact(x, f)
     if res is not None:
         env = res.value
     else:
-        env = envelope_lower_bound(x, f, assignment, max_pairs=max_pairs)
+        env = envelope_lower_bound(x, f, assignment)
     ratio = env / given
     return DistortionReport(
         given_norm=given,

@@ -26,7 +26,7 @@ from .partitions import (
     PartitionDescriptor,
     RestrictedPair,
     canonical_cells,
-    _restrict_sorted,
+    restrict_sorted,
 )
 from .weights import CoordinateLift, One, Product, Weight, is_one
 
@@ -52,10 +52,10 @@ __all__ = [
     "set_partitions",
     "sum_embed",
     "sum_split_support",
-    "DEFAULT_MAX_PAIRS",
+    "MAX_PAIRS",
 ]
 
-DEFAULT_MAX_PAIRS = 10**6
+MAX_PAIRS = 10**6  # members, combinations or refinements listed at most
 
 
 @dataclass(frozen=True)
@@ -228,72 +228,59 @@ def sum_split_support(
     return by_child
 
 
+@dataclass(frozen=True)
 class _SumIndiscreteWeight(Weight):
     """Weight of the sum's single-cell member: outer(a)·w^{a,()}(child point)."""
 
-    def __init__(self, members: SumMembers, arity: int):
-        self._members = members
-        self._arity = arity
-        self._child_ind = tuple(indiscrete_weight(ch) for ch in members.children)
+    members: SumMembers
+
+    @functools.cached_property
+    def _child_ind(self) -> tuple[Weight, ...]:
+        return tuple(indiscrete_weight(ch) for ch in self.members.children)
 
     def value_at(self, idx: Index) -> float:
         a = idx[0]
-        if not (1 <= a <= len(self._members.children)):
+        if not (1 <= a <= len(self.members.children)):
             raise SupportError(f"child number {a} outside the sum")
-        ch = self._members.children[a - 1]
-        return self._members.outer.value_at_nat(a) * self._child_ind[a - 1].value_at(
+        ch = self.members.children[a - 1]
+        return self.members.outer.value_at_nat(a) * self._child_ind[a - 1].value_at(
             idx[1 : 1 + ch.arity]
         )
 
     def depends_on(self, arity: int) -> frozenset[int]:
         return frozenset(range(1, arity + 1))
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, _SumIndiscreteWeight)
-            and other._members == self._members
-            and other._arity == self._arity
-        )
 
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, self._members, self._arity))
+def _embed(a: int, rp: RestrictedPair, arity: int) -> RestrictedPair:
+    """Child a's restricted member, moved onto the sum's base set."""
+    return RestrictedPair(
+        support=tuple(sum_embed(a, b, arity) for b in rp.support),
+        cells=tuple(tuple(sum_embed(a, b, arity) for b in cell) for cell in rp.cells),
+        weight_values=rp.weight_values,
+        label=f"{a}:{rp.label}",
+        values_checked=True,
+    )
 
 
-def _restrict_sum(
-    family: Family, src: SumMembers, support: list[Index], max_pairs: int
-) -> list[RestrictedPair]:
+def _restrict_sum(family: Family, src: SumMembers, support: list[Index]) -> list[RestrictedPair]:
     by_child = sum_split_support(src, family.arity, support)
     touched = sorted(by_child)
-    per_child: dict[int, list[RestrictedPair]] = {}
+    per_child: list[list[RestrictedPair]] = []
     count = 1
     for a in touched:
-        per_child[a] = _restrict(src.children[a - 1], by_child[a], max_pairs)
-        count *= len(per_child[a])
-        if count > max_pairs:
+        members = _restrict(src.children[a - 1], by_child[a])
+        count *= len(members)
+        if count > MAX_PAIRS:
             raise CapacityError(
-                f"sum restriction would exceed {max_pairs} member combinations"
+                f"sum restriction would exceed {MAX_PAIRS} member combinations"
             )
+        per_child.append([_embed(a, rp, family.arity) for rp in members])
 
-    out: list[RestrictedPair] = []
-    for combo in itertools.product(*(per_child[a] for a in touched)):
-        cells: list[tuple[Index, ...]] = []
-        wmap: dict[Index, float] = {}
-        for a, rp in zip(touched, combo):
-            for cell in rp.cells:
-                cells.append(tuple(sum_embed(a, b, family.arity) for b in cell))
-            for b, w in zip(rp.support, rp.weight_values):
-                wmap[sum_embed(a, b, family.arity)] = w
-        pts = tuple(sorted(support))
-        out.append(
-            RestrictedPair(
-                support=pts,
-                cells=canonical_cells(cells),
-                weight_values=tuple(wmap[b] for b in pts),
-                label="prod(" + ",".join(f"{a}:{rp.label}" for a, rp in zip(touched, combo)) + ")",
-            )
-        )
-
-    ind = _SumIndiscreteWeight(src, family.arity)
+    out = [
+        glue_restrictions(support, combo, "prod(" + ",".join(rp.label for rp in combo) + ")")
+        for combo in itertools.product(*per_child)
+    ]
+    ind = _SumIndiscreteWeight(src)
     pts = tuple(sorted(support))
     out.append(
         RestrictedPair(
@@ -310,16 +297,14 @@ def _restrict_sum(
 # tensor plumbing
 
 def _restrict_tensor(
-    family: Family, src: TensorMembers, support: list[Index], max_pairs: int
+    family: Family, src: TensorMembers, support: list[Index]
 ) -> list[RestrictedPair]:
     la = src.left.arity
-    lsupp = sorted({b[:la] for b in support})
-    rsupp = sorted({b[la:] for b in support})
-    lefts = _restrict(src.left, lsupp, max_pairs)
-    rights = _restrict(src.right, rsupp, max_pairs)
-    if len(lefts) * len(rights) > max_pairs:
+    lefts = _restrict(src.left, sorted({b[:la] for b in support}))
+    rights = _restrict(src.right, sorted({b[la:] for b in support}))
+    if len(lefts) * len(rights) > MAX_PAIRS:
         raise CapacityError(
-            f"tensor restriction would exceed {max_pairs} member combinations"
+            f"tensor restriction would exceed {MAX_PAIRS} member combinations"
         )
     pts = tuple(sorted(support))
     out: list[RestrictedPair] = []
@@ -406,18 +391,18 @@ def cell_choices(
 
 
 def _restrict_envelope(
-    family: Family, src: EnvelopeMembers, support: list[Index], max_pairs: int
+    family: Family, src: EnvelopeMembers, support: list[Index]
 ) -> list[RestrictedPair]:
     pts = sorted(support)
-    choices = cell_choices(_restrict(src.inner, pts, max_pairs))
+    choices = cell_choices(_restrict(src.inner, pts))
     out: list[RestrictedPair] = []
     total = 0
     for cells in set_partitions(pts):
         per_cell = [choices(tuple(q)) for q in cells]
         total += math.prod(len(c) for c in per_cell)
-        if total > max_pairs:
+        if total > MAX_PAIRS:
             raise CapacityError(
-                f"envelope restriction would exceed {max_pairs} refinements"
+                f"envelope restriction would exceed {MAX_PAIRS} refinements"
             )
         for picks in itertools.product(*per_cell):
             lbl = "ref(" + ";".join(
@@ -438,70 +423,66 @@ def _dedup(pairs: Sequence[RestrictedPair]) -> list[RestrictedPair]:
     return list(seen.values())
 
 
-def restrict_family(
-    family: Family, support: Sequence[Index], max_pairs: int = DEFAULT_MAX_PAIRS
-) -> list[RestrictedPair]:
+def restrict_family(family: Family, support: Sequence[Index]) -> list[RestrictedPair]:
     """All distinct member restrictions to the support, in canonical
     member order with first-occurrence labels kept.
 
     Raises :class:`CapacityError` when the enumeration would exceed
-    ``max_pairs`` — never silently truncates.
+    :data:`MAX_PAIRS` — never silently truncates.
     """
     pts = sorted(set(support))
     if not pts:
         raise ValidationError("support must be nonempty")
     for b in pts:
         check_index(b, family.arity)
-    return _restrict(family, pts, max_pairs)
+    return _restrict(family, pts)
 
 
-def _restrict(family: Family, pts: list[Index], max_pairs: int) -> list[RestrictedPair]:
+def _restrict(family: Family, pts: list[Index]) -> list[RestrictedPair]:
     """:func:`restrict_family` on points already sorted, distinct and
     checked against the family's arity; children, factors and bases are
     restricted through here, so each point is checked once."""
     src = family.members
     if isinstance(src, ExplicitMembers):
-        raw = [_restrict_sorted(m, pts, family.arity) for m in src.pairs]
+        raw = [restrict_sorted(m, pts, family.arity) for m in src.pairs]
     elif isinstance(src, SubsetLattice):
-        raw = [_restrict_sorted(m, pts, family.arity) for m in _lattice_pairs(src)]
+        raw = [restrict_sorted(m, pts, family.arity) for m in _lattice_pairs(src)]
     elif isinstance(src, SumMembers):
-        raw = _restrict_sum(family, src, pts, max_pairs)
+        raw = _restrict_sum(family, src, pts)
     elif isinstance(src, TensorMembers):
-        raw = _restrict_tensor(family, src, pts, max_pairs)
+        raw = _restrict_tensor(family, src, pts)
     elif isinstance(src, EnvelopeMembers):
-        raw = _restrict_envelope(family, src, pts, max_pairs)
+        raw = _restrict_envelope(family, src, pts)
     elif isinstance(src, ExtendedMembers):
-        raw = _restrict(Family(family.p, family.arity, src.base), pts, max_pairs) + [
-            _restrict_sorted(m, pts, family.arity) for m in src.extra
+        raw = _restrict(Family(family.p, family.arity, src.base), pts) + [
+            restrict_sorted(m, pts, family.arity) for m in src.extra
         ]
     else:  # pragma: no cover
         raise ValidationError(f"unknown member source {type(src).__name__}")
 
-    if len(raw) > max_pairs:
-        raise CapacityError(f"{len(raw)} restricted pairs exceed the cap {max_pairs}")
+    if len(raw) > MAX_PAIRS:
+        raise CapacityError(f"{len(raw)} restricted pairs exceed the cap {MAX_PAIRS}")
     return _dedup(raw)
 
 
-def descriptor_members(
-    family: Family, max_pairs: int = DEFAULT_MAX_PAIRS
-) -> list[PairPW] | None:
+def descriptor_members(family: Family) -> list[PairPW] | None:
     """The members in canonical order when each is a partition descriptor
     with a weight descriptor, else None (sums, envelopes, restricted
     partitions, weights given by point values).  A tensor of two such
     families without subset lattices lists its products, left-major:
     the cells of (L)x(R) fix L's coordinates and R's shifted past them,
     and its weight is L's weight on the left coordinates times R's on
-    the right.  More than ``max_pairs`` members raise
+    the right.  More than :data:`MAX_PAIRS` members raise
     :class:`CapacityError` before any is built; a tensor over the cap
     gives None instead, as restriction deduplicates its factors' members
     before it counts them."""
     count = _descriptor_count(family.members)
     if count is None:
         return None
-    if count > max_pairs:
+    if count > MAX_PAIRS:
         if _lists_tensor(family.members):
             return None  # restriction deduplicates the factors' members first
-        raise CapacityError(f"{count} members exceed the cap {max_pairs}")
+        raise CapacityError(f"{count} members exceed the cap {MAX_PAIRS}")
     return _descriptor_pairs(family.members)
 
 
@@ -638,7 +619,7 @@ def indiscrete_weight(family: Family) -> Weight:
     if isinstance(src, SubsetLattice):
         return lattice_member_weight(src.n, (), src.base)
     if isinstance(src, SumMembers):
-        return _SumIndiscreteWeight(src, 1 + max(ch.arity for ch in src.children))
+        return _SumIndiscreteWeight(src)
     if isinstance(src, TensorMembers):
         lw = indiscrete_weight(src.left)
         rw = indiscrete_weight(src.right)

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ArityError, CapacityError, NormOverflowError, SupportError, ValidationError
-from .families import DEFAULT_MAX_PAIRS, Family, descriptor_members, restrict_family
+from .families import Family, descriptor_members, restrict_family
 from .indices import Index
 from .partitions import PartitionDescriptor, RestrictedPair, check_weight_value
 from .vectors import ConstantBlock, SparseVector, first_overlap, first_points_inside
@@ -31,10 +31,10 @@ __all__ = [
     "member_norm_intensional",
     "term",
     "canonical_value",
-    "DEFAULT_MAX_SUPPORT",
+    "MAX_SUPPORT",
 ]
 
-DEFAULT_MAX_SUPPORT = 1 << 16
+MAX_SUPPORT = 1 << 16  # points a norm restricts to, or expands from blocks, at most
 
 
 def term(c: float, w: float) -> float:
@@ -115,31 +115,25 @@ def pair_norm(x: SparseVector, rp: RestrictedPair, p: float) -> float:
     return canonical_value(cell_terms, p)
 
 
-def family_norm(
-    x: SparseVector,
-    f: Family,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
-    max_support: int = DEFAULT_MAX_SUPPORT,
-) -> NormResult:
+def family_norm(x: SparseVector, f: Family) -> NormResult:
     """Exact max of member norms over the family, first maximiser's label.
 
     Members given by descriptors (explicit families, subset lattices and
     tensor products of these, see :func:`descriptor_members`) are
     evaluated from the blocks of ``x`` by :func:`member_norm_intensional`
-    (``max_support`` caps the points it may expand); other sources (sums,
-    envelopes) are restricted to supp(x), at most ``max_support`` points,
-    and normed by :func:`pair_norm`.
+    (:data:`MAX_SUPPORT` caps the points it may expand); other sources
+    (sums, envelopes) are restricted to supp(x), at most
+    :data:`MAX_SUPPORT` points, and normed by :func:`pair_norm`.
     """
     if not x.support_size:
         raise SupportError("family_norm needs a vector with nonempty support")
-    pairs = descriptor_members(f, max_pairs)
+    pairs = descriptor_members(f)
     if pairs is None:
-        members = restrict_family(f, x.support(cap=max_support), max_pairs)
+        members = restrict_family(f, x.support(cap=MAX_SUPPORT))
         scored = [(pair_norm(x, rp, f.p), rp.label) for rp in members]
     else:
         scored = [
-            (member_norm_intensional(x, m.partition, m.weight, f.p, f.arity, max_support),
-             m.label)
+            (member_norm_intensional(x, m.partition, m.weight, f.p, f.arity), m.label)
             for m in pairs
         ]
     best, best_label = -1.0, ""
@@ -158,7 +152,6 @@ def member_norm_intensional(
     weight: Weight,
     p: float,
     arity: int,
-    expand_cap: int = DEFAULT_MAX_SUPPORT,
 ) -> float:
     """Pair norm from descriptors, with run-length blocks in closed form.
 
@@ -170,7 +163,7 @@ def member_norm_intensional(
     multiples enter fsum as exact float parts.  Those K cells must meet
     nothing else, which is checked on their projections to the fixed
     coordinates; on a clash every block is expanded, as are blocks whose
-    weight varies along the run, at most ``expand_cap`` points in all.
+    weight varies along the run, at most :data:`MAX_SUPPORT` points in all.
 
     The other points are evaluated as columns: the vector's entries (an
     index matrix and a coefficient column built once per vector) and the
@@ -194,9 +187,9 @@ def member_norm_intensional(
     and of the cells, cannot change a bit.  Errors keep their types and
     messages: a weight outside (0, 1] names the descriptor and the point,
     underflow names ``s``, and a lift position past the arity, a
-    one-dimensional descriptor on a higher arity and the ``expand_cap``
-    limit fail as ``value_at`` and the cap do.  With several failing
-    points, the one raised is the first in row order.
+    one-dimensional descriptor on a higher arity and the
+    :data:`MAX_SUPPORT` limit fail as ``value_at`` and the cap do.  With
+    several failing points, the one raised is the first in row order.
     """
     if x.arity != arity:
         raise ArityError(f"vector arity {x.arity} does not match the family arity {arity}")
@@ -215,7 +208,7 @@ def member_norm_intensional(
     for blk in x.blocks:
         rc = blk.running_coord
         (varying if rc in wdeps else splits if rc - 1 in fixed else lumps).append(blk)
-    idx, coeff = _points(x, varying, expand_cap)
+    idx, coeff = _points(x, varying)
     # a split block's cells, as a block on the fixed coordinates
     cells_of = [
         ConstantBlock(key_of(b.template), fixed.index(b.running_coord - 1) + 1, b.lo, b.hi, 1.0)
@@ -225,7 +218,7 @@ def member_norm_intensional(
         cells_of, [tuple(k) for k in idx[:, fixed].tolist()] + [key_of(b.template) for b in lumps]
     ):
         lumps, splits = [], []
-        idx, coeff = _points(x, x.blocks, expand_cap)
+        idx, coeff = _points(x, x.blocks)
 
     if len(idx):
         w = _checked_weight_column(weight, idx)
@@ -250,13 +243,13 @@ def member_norm_intensional(
     return _root(outer, p)
 
 
-def _points(
-    x: SparseVector, blocks: Sequence[ConstantBlock], cap: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _points(x: SparseVector, blocks: Sequence[ConstantBlock]) -> tuple[np.ndarray, np.ndarray]:
     """Index matrix and coefficients of x's entries, then ``blocks``' points."""
     size = sum(blk.size for blk in blocks)
-    if size > cap:
-        raise CapacityError(f"{size} block points need expanding here, more than the cap {cap}")
+    if size > MAX_SUPPORT:
+        raise CapacityError(
+            f"{size} block points need expanding here, more than the cap {MAX_SUPPORT}"
+        )
     idx, coeff = x.entry_columns
     if not blocks:
         return idx, coeff

@@ -237,10 +237,10 @@ def restrict_pair(pair: PairPW, support: Sequence[Index], arity: int) -> Restric
         raise ValidationError("support must be nonempty")
     for b in pts:
         check_index(b, arity)
-    return _restrict_sorted(pair, pts, arity)
+    return restrict_sorted(pair, pts, arity)
 
 
-def _restrict_sorted(pair: PairPW, pts: Sequence[Index], arity: int) -> RestrictedPair:
+def restrict_sorted(pair: PairPW, pts: Sequence[Index], arity: int) -> RestrictedPair:
     """:func:`restrict_pair` on points already sorted, distinct and
     checked against ``arity``, as a family's restriction passes them."""
     part = pair.partition

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import small_families
 from pwnorm.errors import ArityError, CapacityError, ValidationError
 from pwnorm.families import (
-    DEFAULT_MAX_PAIRS,
+    MAX_PAIRS,
     ExplicitMembers,
     ExtendedMembers,
     Family,
@@ -163,12 +163,36 @@ def test_restriction_dedups_by_canonical_key():
     assert [m.label for m in ms] == ["a", "c"]  # first label wins
 
 
-def test_restrict_family_capacity():
+def test_restrict_family_capacity(monkeypatch):
+    assert MAX_PAIRS == 10**6
     fam = make_Yn(4.0, 3, PowerDecay(0.25))
     pts = ((1, 1, 1, 1, 1, 1), (2, 1, 1, 1, 1, 1))
-    with pytest.raises(CapacityError):
-        restrict_family(fam, pts, max_pairs=2)
-    assert DEFAULT_MAX_PAIRS == 10**6
+    monkeypatch.setattr("pwnorm.families.MAX_PAIRS", 2)
+    with pytest.raises(CapacityError, match="^8 restricted pairs exceed the cap 2$"):
+        restrict_family(fam, pts)
+
+
+@pytest.mark.parametrize(
+    "fam, pts, message",
+    [
+        # each child keeps both xp members: 2 x 2 combinations
+        (p2w_sum([XP, XP], One()), ((1, 1), (1, 2), (2, 1), (2, 2)),
+         "sum restriction would exceed 3 member combinations"),
+        # each factor keeps both xp members: 2 x 2 products
+        (tensor_family(XP, XP), ((1, 1), (2, 2)),
+         "tensor restriction would exceed 3 member combinations"),
+        # one cell alone offers 2 choices, the first two-cell split 4 more
+        (envelope_family(XP), ((1,), (2,), (3,)),
+         "envelope restriction would exceed 3 refinements"),
+    ],
+    ids=["sum", "tensor", "envelope"],
+)
+def test_each_listing_cap_raises_at_the_constant(fam, pts, message, monkeypatch):
+    restrict_family(fam, pts)  # within the default cap
+    monkeypatch.setattr("pwnorm.families.MAX_PAIRS", 3)
+    with pytest.raises(CapacityError) as err:
+        restrict_family(fam, pts)
+    assert str(err.value) == message
 
 
 def test_is_admissible():
@@ -195,6 +219,12 @@ def test_indiscrete_weight_lookup():
         indiscrete_weight(make_lp(4.0))
     tw = indiscrete_weight(tensor_family(XP, XP))
     assert tw.value_at((16, 16)) == 0.25
+    # a sum's weight is equal, and hashes equal, by its members alone
+    sw = indiscrete_weight(p2w_sum([XP, XP], Constant(0.5)))
+    assert sw.value_at((2, 16)) == 0.5 * 0.5
+    assert sw == indiscrete_weight(p2w_sum([XP, XP], Constant(0.5)))
+    assert hash(sw) == hash(indiscrete_weight(p2w_sum([XP, XP], Constant(0.5))))
+    assert sw != indiscrete_weight(p2w_sum([XP, XP], Constant(0.25)))
 
 
 def test_extended_members_append():

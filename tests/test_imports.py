@@ -27,3 +27,18 @@ def test_modules_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def _private_imports(tree: ast.Module) -> list[str]:
+    return [
+        f"{alias.name} from {node.module or '.'} (line {node.lineno})"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_private_cross_module_imports(path):
+    assert _private_imports(ast.parse(path.read_text(encoding="utf-8"))) == []

@@ -17,6 +17,7 @@ from pwnorm.errors import (
 )
 from pwnorm.families import Family, descriptor_members, lattice_member_weight, restrict_family
 from pwnorm.norms import (
+    MAX_SUPPORT,
     _clash,
     canonical_value,
     family_norm,
@@ -40,6 +41,7 @@ from pwnorm.spaces import (
     make_sum_l2_lp,
     make_admissible,
     make_Yn,
+    p2w_sum,
     tensor_family,
 )
 from pwnorm.vectors import ConstantBlock, SparseVector, blocks_overlap, unit_vector
@@ -236,12 +238,14 @@ def test_intensional_overflow_is_a_norm_overflow_error(tmp_path, capsys):
     assert "overflowed" in capsys.readouterr().err
 
 
-def test_descriptor_path_keeps_the_restriction_checks():
+def test_descriptor_path_keeps_the_restriction_checks(monkeypatch):
     prm = yn_default_params()
     x = yn_witness(prm)
     fam = make_Yn(4.0, 3, prm.w)
-    with pytest.raises(CapacityError):
-        family_norm(x, fam, max_pairs=2)
+    with monkeypatch.context() as m:
+        m.setattr("pwnorm.families.MAX_PAIRS", 2)
+        with pytest.raises(CapacityError):
+            family_norm(x, fam)
     with pytest.raises(ArityError):
         family_norm(unit_vector((1, 1)), fam)
     with pytest.raises(SupportError):
@@ -261,11 +265,28 @@ def test_descriptor_path_keeps_the_restriction_checks():
     with pytest.raises(ValidationError) as err:
         restrict_pair(PairPW(Indiscrete(), prod), [(600,)], 1)
     assert str(err.value) == named
-    # a weight varying along the run forces expansion, capped by max_support
+    # a weight varying along the run forces expansion, capped by MAX_SUPPORT
     run = SparseVector(1, blocks=(ConstantBlock((1,), 1, 1, 100, 1.0),))
-    with pytest.raises(CapacityError):
-        family_norm(run, make_l2(4.0, PowerDecay(0.5)), max_support=99)
-    assert family_norm(run, make_l2(4.0, PowerDecay(0.5)), max_support=100).value > 0
+    monkeypatch.setattr("pwnorm.norms.MAX_SUPPORT", 99)
+    with pytest.raises(CapacityError) as err:
+        family_norm(run, make_l2(4.0, PowerDecay(0.5)))
+    assert str(err.value) == "100 block points need expanding here, more than the cap 99"
+    monkeypatch.setattr("pwnorm.norms.MAX_SUPPORT", 100)
+    assert family_norm(run, make_l2(4.0, PowerDecay(0.5))).value > 0
+
+
+def test_restriction_support_cap_is_checked_before_restricting(monkeypatch):
+    assert MAX_SUPPORT == 1 << 16
+    fam = p2w_sum([make_rosenthal_xp(4.0, PowerDecay(0.5))] * 2, Constant(0.5))
+    x = SparseVector(2, blocks=(ConstantBlock((1, 1), 2, 1, 50, 1.0),
+                                ConstantBlock((2, 1), 2, 1, 50, 0.5)))
+    monkeypatch.setattr("pwnorm.norms.MAX_SUPPORT", 100)
+    assert family_norm(x, fam).value > 0
+    monkeypatch.setattr("pwnorm.norms.MAX_SUPPORT", 99)
+    monkeypatch.setattr("pwnorm.norms.restrict_family", None)
+    with pytest.raises(CapacityError) as err:
+        family_norm(x, fam)
+    assert str(err.value) == "support size 100 exceeds cap 99"
 
 
 def test_the_first_failing_point_is_reported():
@@ -289,7 +310,7 @@ def test_the_first_failing_point_is_reported():
     assert str(err.value) == named
 
 
-def test_tensors_of_lattices_and_past_the_cap_are_restricted():
+def test_tensors_of_lattices_and_past_the_cap_are_restricted(monkeypatch):
     p = 4.0
     xp = make_rosenthal_xp(p, PowerDecay(1.0))
     yn = make_Yn(p, 2, PowerDecay(1.0))
@@ -299,13 +320,16 @@ def test_tensors_of_lattices_and_past_the_cap_are_restricted():
     # one product where four are listed
     sch = tensor_family(xp, make_rosenthal_xp(p, PowerDecay(2.0)))
     assert len(descriptor_members(sch)) == 4
-    assert descriptor_members(sch, max_pairs=2) is None
     x = SparseVector(2, (((1, 1), 2.0),))
-    listed, restricted = family_norm(x, sch), family_norm(x, sch, max_pairs=2)
+    listed = family_norm(x, sch)
+    monkeypatch.setattr("pwnorm.families.MAX_PAIRS", 2)
+    assert descriptor_members(sch) is None
+    restricted = family_norm(x, sch)
     assert (listed.value, listed.argmax_member) == (restricted.value, restricted.argmax_member)
     assert (listed.candidates_evaluated, restricted.candidates_evaluated) == (4, 1)
-    with pytest.raises(CapacityError):
-        descriptor_members(yn, max_pairs=3)
+    monkeypatch.setattr("pwnorm.families.MAX_PAIRS", 3)
+    with pytest.raises(CapacityError, match="^4 members exceed the cap 3$"):
+        descriptor_members(yn)
 
 
 WEIGHTS_2D = [
