@@ -8,10 +8,9 @@ sample count is quadrupled once to show the standard error halving.
 """
 
 import argparse
-import csv
 import sys
 
-from pwnorm.cli import fmt, read_variables
+from pwnorm.cli import fmt, read_variables, rosenthal_csv, write_csv
 from pwnorm.experiments import rosenthal_mc
 
 
@@ -43,14 +42,11 @@ def main(argv=None):
             fine = rosenthal_mc(variables, args.p, 4 * args.samples, args.seed)
             print(f"      4x samples: lhs = {fmt(fine.lhs_est)} "
                   f"(stderr {fmt(fine.stderr)}, shrink {fmt(fine.stderr / res.stderr)})")
-        rows.append([str(n), fmt(args.p), str(res.samples), str(res.seed),
-                     fmt(res.lhs_est), fmt(res.stderr), fmt(res.rhs), fmt(res.ratio)])
+        header, row = rosenthal_csv(res, n, args.p)
+        rows.append(row)
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["N", "p", "samples", "seed", "lhs_est", "stderr", "rhs", "ratio"])
-            w.writerows(rows)
+        write_csv(args.out, header, rows)
         print(f"wrote {args.out}")
     return 0
 

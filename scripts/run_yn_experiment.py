@@ -8,10 +8,9 @@ ratio approaches n^{1/p} from below as eps shrinks.
 """
 
 import argparse
-import csv
 import sys
 
-from pwnorm.cli import fmt
+from pwnorm.cli import fmt, write_csv, yn_csv
 from pwnorm.experiments import yn_default_params, yn_report
 
 
@@ -37,23 +36,11 @@ def main(argv=None):
         print(f"  envelope lb = {fmt(rep.envelope_lb)}")
         print(f"  ratio       = {fmt(rep.ratio)}  (limit {fmt(args.n ** (1 / args.p))})")
         print(f"  distance lb = {fmt(rep.distance_lb)}")
-        rows.append(
-            [str(args.n), fmt(args.p), fmt(eps),
-             ";".join(str(v) for v in params.m), ";".join(str(v) for v in params.K)]
-            + [fmt(s) for s in rep.sums]
-            + [fmt(rep.given_norm), fmt(rep.envelope_lb), fmt(rep.ratio), fmt(rep.distance_lb)]
-        )
+        header, row = yn_csv(rep)
+        rows.append(row)
 
     if args.out:
-        header = (
-            ["n", "p", "eps", "m", "K"]
-            + [f"S_{i}" for i in range(2 ** args.n)]
-            + ["given_norm", "envelope_lb", "ratio", "distance_lb"]
-        )
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(header)
-            w.writerows(rows)
+        write_csv(args.out, header, rows)
         print(f"wrote {args.out}")
     return 0
 

@@ -19,29 +19,21 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import norms
 from .config import build_space, build_weight, format_node, parse_config
-from .envelope import distortion_certificate, envelope_norm_exact, has_envelope_property
+from .envelope import (
+    DEFAULT_CHECK_MEMBERS, distortion_certificate, envelope_norm_exact, has_envelope_property,
+)
 from .errors import CapacityError, ParseError, PwnormError, ValidationError
-from .experiments import rosenthal_mc, yn_default_params, yn_report
+from .experiments import RosenthalResult, YnReport, rosenthal_mc, yn_default_params, yn_report
 from .norms import family_norm
 from .spaces import classify_rosenthal
 from .vectors import ConstantBlock, SparseVector
 from .weights import PowerDecay
 
-__all__ = ["main", "read_vector", "read_variables", "fmt"]
-
-COMMANDS = (
-    "norm",
-    "envelope",
-    "distortion",
-    "classify",
-    "check-envelope-property",
-    "experiment-yn",
-    "experiment-rosenthal",
-)
+__all__ = ["main", "read_vector", "read_variables", "fmt", "write_csv", "yn_csv", "rosenthal_csv"]
 
 
 def fmt(v: float) -> str:
@@ -129,11 +121,49 @@ def read_variables(path: str) -> list[tuple[float, float]]:
 # ---------------------------------------------------------------------------
 # output
 
-def _write_csv(path: str, header: Sequence[str], row: Sequence[str]) -> None:
+def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
-        w.writerow(row)
+        w.writerows(rows)
+
+
+def yn_csv(rep: YnReport) -> tuple[list[str], list[str]]:
+    """The ``experiment-yn`` CSV header and row of a witness report."""
+    params = rep.params
+    header = (
+        ["n", "p", "eps", "m", "K"]
+        + [f"S_{i}" for i in range(len(rep.sums))]
+        + ["given_norm", "envelope_lb", "ratio", "distance_lb"]
+    )
+    row = (
+        [
+            str(params.n),
+            fmt(params.p),
+            fmt(params.eps),
+            ";".join(str(v) for v in params.m),
+            ";".join(str(v) for v in params.K),
+        ]
+        + [fmt(s) for s in rep.sums]
+        + [fmt(rep.given_norm), fmt(rep.envelope_lb), fmt(rep.ratio), fmt(rep.distance_lb)]
+    )
+    return header, row
+
+
+def rosenthal_csv(res: RosenthalResult, n: int, p: float) -> tuple[list[str], list[str]]:
+    """The ``experiment-rosenthal`` CSV header and row of an estimate over
+    ``n`` variables at exponent ``p``."""
+    header = ["N", "p", "samples", "seed", "lhs_est", "stderr", "rhs", "ratio"]
+    row = [str(n), fmt(p), str(res.samples), str(res.seed)]
+    row += [fmt(res.lhs_est), fmt(res.stderr), fmt(res.rhs), fmt(res.ratio)]
+    return header, row
+
+
+def _space_csv(args, p: float, expr, **fields: str) -> tuple[list[str], list[str]]:
+    """The CSV header and row of a command on a config's space: the
+    command, the space and p, then the fields."""
+    header = ["command", "space", "p", *fields]
+    return header, [args.command, format_node(expr), fmt(p), *fields.values()]
 
 
 def _need(args, what: str, flag: str):
@@ -143,209 +173,134 @@ def _need(args, what: str, flag: str):
     return v
 
 
-def _load_family(args):
-    with open(_need(args, "config", "--config"), "r", encoding="utf-8") as fh:
+def _read_config(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
         p, expr = parse_config(fh.read())
-    return float(p), expr, build_space(float(p), expr)
+    return float(p), expr
+
+
+def _load_vector(args):
+    """p, expression and family of --config, and --vector at the family's arity."""
+    p, expr = _read_config(_need(args, "config", "--config"))
+    family = build_space(p, expr)
+    return p, expr, family, read_vector(_need(args, "vector", "--vector"), family.arity)
 
 
 # ---------------------------------------------------------------------------
 # commands
 
-def _cmd_norm(args) -> int:
-    p, expr, family = _load_family(args)
-    x = read_vector(_need(args, "vector", "--vector"), family.arity)
+Report = tuple[list[str], list[str], list[str]]  # stdout lines, CSV header, CSV row
+
+
+def _cmd_norm(args) -> Report:
+    p, expr, family, x = _load_vector(args)
     r = family_norm(x, family)
-    print(f"norm = {fmt(r.value)}")
-    print(f"argmax member: {r.argmax_member}")
-    print(f"members evaluated: {r.candidates_evaluated}")
-    if args.out:
-        _write_csv(
-            args.out,
-            ["command", "space", "p", "norm", "argmax_member"],
-            ["norm", format_node(expr), fmt(p), fmt(r.value), r.argmax_member],
-        )
-    return 0
+    lines = [
+        f"norm = {fmt(r.value)}",
+        f"argmax member: {r.argmax_member}",
+        f"members evaluated: {r.candidates_evaluated}",
+    ]
+    return lines, *_space_csv(args, p, expr, norm=fmt(r.value), argmax_member=r.argmax_member)
 
 
-def _cmd_envelope(args) -> int:
-    p, expr, family = _load_family(args)
-    x = read_vector(_need(args, "vector", "--vector"), family.arity)
+def _cmd_envelope(args) -> Report:
+    p, expr, family, x = _load_vector(args)
     r, assignment = envelope_norm_exact(x, family)
-    print(f"envelope norm = {fmt(r.value)}")
-    print(f"assignment: {assignment.label()}")
-    print(f"assignments searched: {r.candidates_evaluated}")
-    if args.out:
-        _write_csv(
-            args.out,
-            ["command", "space", "p", "norm", "argmax_member"],
-            ["envelope", format_node(expr), fmt(p), fmt(r.value), assignment.label()],
-        )
-    return 0
+    lines = [
+        f"envelope norm = {fmt(r.value)}",
+        f"assignment: {assignment.label()}",
+        f"assignments searched: {r.candidates_evaluated}",
+    ]
+    return lines, *_space_csv(args, p, expr, norm=fmt(r.value), argmax_member=assignment.label())
 
 
-def _cmd_distortion(args) -> int:
-    p, expr, family = _load_family(args)
-    x = read_vector(_need(args, "vector", "--vector"), family.arity)
+def _cmd_distortion(args) -> Report:
+    p, expr, family, x = _load_vector(args)
     rep = distortion_certificate(x, family)
-    print(f"given norm   = {fmt(rep.given_norm)}")
-    print(f"envelope lb  = {fmt(rep.envelope_lb)}")
-    print(f"ratio        = {fmt(rep.ratio)}")
-    print(f"distance lb  = {fmt(rep.distance_lb)}")
-    if args.out:
-        _write_csv(
-            args.out,
-            ["command", "space", "p", "given_norm", "envelope_lb", "ratio", "distance_lb"],
-            [
-                "distortion",
-                format_node(expr),
-                fmt(p),
-                fmt(rep.given_norm),
-                fmt(rep.envelope_lb),
-                fmt(rep.ratio),
-                fmt(rep.distance_lb),
-            ],
-        )
-    return 0
+    lines = [
+        f"given norm   = {fmt(rep.given_norm)}",
+        f"envelope lb  = {fmt(rep.envelope_lb)}",
+        f"ratio        = {fmt(rep.ratio)}",
+        f"distance lb  = {fmt(rep.distance_lb)}",
+    ]
+    return lines, *_space_csv(
+        args, p, expr, given_norm=fmt(rep.given_norm), envelope_lb=fmt(rep.envelope_lb),
+        ratio=fmt(rep.ratio), distance_lb=fmt(rep.distance_lb),
+    )
 
 
-def _cmd_classify(args) -> int:
-    with open(_need(args, "config", "--config"), "r", encoding="utf-8") as fh:
-        p, expr = parse_config(fh.read())
+def _cmd_classify(args) -> Report:
+    p, expr = _read_config(_need(args, "config", "--config"))
     if expr.name != "xp":
         raise ValidationError(
             "classify decides two-member families; use a config with space = xp(w)"
         )
-    w = build_weight(expr.args[0], "space.xp.w")
-    c = classify_rosenthal(w, float(p))
-    print(f"type: {c.tag.value}")
-    if c.detail:
-        print(f"because: {c.detail}")
-    if args.out:
-        _write_csv(
-            args.out,
-            ["command", "space", "p", "tag", "detail"],
-            ["classify", format_node(expr), fmt(float(p)), c.tag.value, c.detail],
-        )
-    return 0
+    c = classify_rosenthal(build_weight(expr.args[0], "space.xp.w"), p)
+    lines = [f"type: {c.tag.value}"] + ([f"because: {c.detail}"] if c.detail else [])
+    return lines, *_space_csv(args, p, expr, tag=c.tag.value, detail=c.detail)
 
 
-def _cmd_check_envelope(args) -> int:
-    p, expr, family = _load_family(args)
-    x = read_vector(_need(args, "vector", "--vector"), family.arity)
+def _cmd_check_envelope(args) -> Report:
+    p, expr, family, x = _load_vector(args)
     support = x.support(cap=norms.MAX_SUPPORT)
     check = has_envelope_property(family, support, max_members=args.cap_members)
     if check.holds:
         kind = "exhaustively" if check.exhaustive else "on sampled refinements"
-        print(f"envelope property holds {kind} ({check.checked} refinements checked)")
+        lines = [f"envelope property holds {kind} ({check.checked} refinements checked)"]
+        picks = []
     else:
         Q, labels = check.counterexample
-        print("envelope property FAILS; counterexample refinement:")
-        for cell, lbl in zip(Q.cells, labels):
-            print(f"  cells {list(cell)} <- member {lbl}")
-    if args.out:
-        ce = ""
-        if check.counterexample is not None:
-            Q, labels = check.counterexample
-            ce = " | ".join(
-                f"{list(cell)}<-{lbl}" for cell, lbl in zip(Q.cells, labels)
-            )
-        _write_csv(
-            args.out,
-            ["command", "space", "p", "holds", "exhaustive", "checked", "counterexample"],
-            [
-                "check-envelope-property",
-                format_node(expr),
-                fmt(p),
-                str(check.holds).lower(),
-                str(check.exhaustive).lower(),
-                str(check.checked),
-                ce,
-            ],
-        )
-    return 0
+        picks = list(zip(Q.cells, labels))
+        lines = ["envelope property FAILS; counterexample refinement:"]
+        lines += [f"  cells {list(cell)} <- member {lbl}" for cell, lbl in picks]
+    return lines, *_space_csv(
+        args, p, expr, holds=str(check.holds).lower(), exhaustive=str(check.exhaustive).lower(),
+        checked=str(check.checked),
+        counterexample=" | ".join(f"{list(cell)}<-{lbl}" for cell, lbl in picks),
+    )
 
 
-def _cmd_experiment_yn(args) -> int:
+def _cmd_experiment_yn(args) -> Report:
     p = 4.0
     w = PowerDecay(0.25)
     n = args.n
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            p_raw, expr = parse_config(fh.read())
-        p = float(p_raw)
+        p, expr = _read_config(args.config)
         if expr.name == "yn":
             if n is None:
                 n = int(expr.args[0])
             w = build_weight(expr.args[1], "space.yn.w")
-    if n is None:
-        n = 3
-    params = yn_default_params(p=p, n=n, eps=args.eps, w=w)
-    rep = yn_report(params)
-    print(f"n = {params.n}, p = {fmt(params.p)}, eps = {fmt(params.eps)}")
-    print(f"m = {params.m}, K = {params.K}")
-    for lbl, s in zip(rep.labels, rep.sums):
-        print(f"  {lbl}: {fmt(s)}")
-    print(f"given norm  = {fmt(rep.given_norm)}")
-    print(f"envelope lb = {fmt(rep.envelope_lb)}")
-    print(f"ratio       = {fmt(rep.ratio)}")
-    print(f"distance lb = {fmt(rep.distance_lb)}")
-    if args.out:
-        header = (
-            ["n", "p", "eps", "m", "K"]
-            + [f"S_{i}" for i in range(len(rep.sums))]
-            + ["given_norm", "envelope_lb", "ratio", "distance_lb"]
-        )
-        row = (
-            [
-                str(params.n),
-                fmt(params.p),
-                fmt(params.eps),
-                ";".join(str(v) for v in params.m),
-                ";".join(str(v) for v in params.K),
-            ]
-            + [fmt(s) for s in rep.sums]
-            + [fmt(rep.given_norm), fmt(rep.envelope_lb), fmt(rep.ratio), fmt(rep.distance_lb)]
-        )
-        _write_csv(args.out, header, row)
-    return 0
+    rep = yn_report(yn_default_params(p=p, n=3 if n is None else n, eps=args.eps, w=w))
+    params = rep.params
+    lines = [
+        f"n = {params.n}, p = {fmt(params.p)}, eps = {fmt(params.eps)}",
+        f"m = {params.m}, K = {params.K}",
+        *(f"  {lbl}: {fmt(s)}" for lbl, s in zip(rep.labels, rep.sums)),
+        f"given norm  = {fmt(rep.given_norm)}",
+        f"envelope lb = {fmt(rep.envelope_lb)}",
+        f"ratio       = {fmt(rep.ratio)}",
+        f"distance lb = {fmt(rep.distance_lb)}",
+    ]
+    return lines, *yn_csv(rep)
 
 
-def _cmd_experiment_rosenthal(args) -> int:
-    p = 4.0
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            p_raw, _ = parse_config(fh.read())
-        p = float(p_raw)
+def _cmd_experiment_rosenthal(args) -> Report:
+    p = _read_config(args.config)[0] if args.config else 4.0
     if args.vector:
         variables = read_variables(args.vector)
     else:
-        n = args.n if args.n is not None else 10
-        variables = [(1.0, 1.0)] * n
+        variables = [(1.0, 1.0)] * (args.n if args.n is not None else 10)
     res = rosenthal_mc(variables, p, args.samples, args.seed)
-    print(f"N = {len(variables)}, p = {fmt(p)}, samples = {res.samples}, seed = {res.seed}")
-    print(f"lhs estimate = {fmt(res.lhs_est)} (stderr {fmt(res.stderr)})")
-    print(f"rhs exact    = {fmt(res.rhs)}")
-    print(f"ratio        = {fmt(res.ratio)}")
-    if args.out:
-        _write_csv(
-            args.out,
-            ["N", "p", "samples", "seed", "lhs_est", "stderr", "rhs", "ratio"],
-            [
-                str(len(variables)),
-                fmt(p),
-                str(res.samples),
-                str(res.seed),
-                fmt(res.lhs_est),
-                fmt(res.stderr),
-                fmt(res.rhs),
-                fmt(res.ratio),
-            ],
-        )
-    return 0
+    lines = [
+        f"N = {len(variables)}, p = {fmt(p)}, samples = {res.samples}, seed = {res.seed}",
+        f"lhs estimate = {fmt(res.lhs_est)} (stderr {fmt(res.stderr)})",
+        f"rhs exact    = {fmt(res.rhs)}",
+        f"ratio        = {fmt(res.ratio)}",
+    ]
+    return lines, *rosenthal_csv(res, len(variables), p)
 
 
-_DISPATCH = {
+COMMANDS = {
     "norm": _cmd_norm,
     "envelope": _cmd_envelope,
     "distortion": _cmd_distortion,
@@ -367,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", help="write results as CSV to this file")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument(
-        "--cap-members", type=int, default=8,
+        "--cap-members", type=int, default=DEFAULT_CHECK_MEMBERS,
         help="max restricted members an exhaustive check-envelope-property glues",
     )
     ap.add_argument("--eps", type=float, default=1.0)
@@ -379,7 +334,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        lines, header, row = COMMANDS[args.command](args)
+        print("\n".join(lines))
+        if args.out:
+            write_csv(args.out, header, [row])
+        return 0
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

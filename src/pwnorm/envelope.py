@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 CHECK_MAX_POINTS = 6  # points an exhaustive property check takes at most
-DEFAULT_CHECK_MEMBERS = 4
+DEFAULT_CHECK_MEMBERS = 8  # members an exhaustive property check takes by default
 
 _NEAR_BAND = 1e-11  # relative slack for collecting re-evaluation candidates
 _MAX_FINALISTS = 1 << 22  # near-maximal assignments re-evaluated at most
@@ -72,9 +72,6 @@ class Assignment:
 
     def label(self) -> str:
         return "assign[" + ",".join(self.member_labels) + "]"
-
-    def label_at(self, b: Index) -> str:
-        return self.member_labels[self.points.index(b)]
 
 
 @dataclass(frozen=True)
@@ -160,8 +157,9 @@ def has_envelope_property(
     choices glued.
 
     Exhaustive within the caps, :data:`CHECK_MAX_POINTS` points and
-    ``max_members`` members; with no ``sample`` the point cap is checked
-    before the family is restricted, the member cap after.
+    ``max_members`` (:data:`DEFAULT_CHECK_MEMBERS` by default) members;
+    with no ``sample`` the point cap is checked before the family is
+    restricted, the member cap after.
     Beyond them, ``sample=N`` glues N random two-cell refinements (a
     non-empty second cell, then a member per cell, drawn from
     ``random.Random(seed)``): a probabilistic verdict, marked
@@ -394,13 +392,15 @@ def envelope_lower_bound(x: SparseVector, f: Family, assignment: Assignment) -> 
     by_label: dict[str, int] = {}
     for i, rp in enumerate(members):
         by_label.setdefault(rp.label, i)
-    have = set(assignment.points)
-    missing = [b for b in supp if b not in have]
+    label_at: dict[Index, str] = {}
+    for b, lbl in zip(assignment.points, assignment.member_labels):
+        label_at.setdefault(b, lbl)  # the first occurrence, as tuple.index finds
+    missing = [b for b in supp if b not in label_at]
     if missing:
         raise ValidationError(f"assignment lacks members for points {missing[:3]}")
     choice = []
     for b in supp:
-        lbl = assignment.label_at(b)
+        lbl = label_at[b]
         if lbl not in by_label:
             raise ValidationError(
                 f"assignment references member {lbl!r} absent from the restricted family"

@@ -476,24 +476,23 @@ def descriptor_members(family: Family) -> list[PairPW] | None:
     :class:`CapacityError` before any is built; a tensor over the cap
     gives None instead, as restriction deduplicates its factors' members
     before it counts them."""
-    count = _descriptor_count(family.members)
-    if count is None:
+    listing = _descriptor_listing(family.members)
+    if listing is None:
         return None
+    count, tensor, build = listing
     if count > MAX_PAIRS:
-        if _lists_tensor(family.members):
+        if tensor:
             return None  # restriction deduplicates the factors' members first
         raise CapacityError(f"{count} members exceed the cap {MAX_PAIRS}")
-    return _descriptor_pairs(family.members)
+    return build()
 
 
-def _lists_tensor(src: MemberSource) -> bool:
-    while isinstance(src, ExtendedMembers):
-        src = src.base
-    return isinstance(src, TensorMembers)
-
-
-def _descriptor_count(src: MemberSource, lattice: bool = True) -> int | None:
-    """How many members :func:`descriptor_members` lists, or None.
+def _descriptor_listing(
+    src: MemberSource, lattice: bool = True
+) -> tuple[int, bool, Callable[[], list[PairPW]]] | None:
+    """How many members :func:`descriptor_members` lists, whether a
+    tensor lists them, and a builder that lists them; None when a member
+    is not a descriptor.
 
     A tensor's factors may not hold a subset lattice: most of its 2^n
     members coincide on a small support, and restriction deduplicates
@@ -501,18 +500,24 @@ def _descriptor_count(src: MemberSource, lattice: bool = True) -> int | None:
     on 3 points: 0.02 s restricted, 5.8 s as 16,384 listed products).
     """
     if isinstance(src, ExplicitMembers):
-        return len(src.pairs) if all(map(_is_descriptor, src.pairs)) else None
+        if not all(map(_is_descriptor, src.pairs)):
+            return None
+        return len(src.pairs), False, lambda: list(src.pairs)
     if isinstance(src, SubsetLattice):
-        return 2**src.n if lattice else None
+        return (2**src.n, False, lambda: _lattice_pairs(src)) if lattice else None
     if isinstance(src, ExtendedMembers):
-        base = _descriptor_count(src.base, lattice)
+        base = _descriptor_listing(src.base, lattice)
         if base is None or not all(map(_is_descriptor, src.extra)):
             return None
-        return base + len(src.extra)
+        count, tensor, build = base
+        return count + len(src.extra), tensor, lambda: build() + list(src.extra)
     if isinstance(src, TensorMembers):
-        left = _descriptor_count(src.left.members, False)
-        right = _descriptor_count(src.right.members, False)
-        return None if left is None or right is None else left * right
+        left = _descriptor_listing(src.left.members, False)
+        right = _descriptor_listing(src.right.members, False)
+        if left is None or right is None:
+            return None
+        (lcount, _, lbuild), (rcount, _, rbuild) = left, right
+        return lcount * rcount, True, lambda: _tensor_pairs(src, lbuild(), rbuild())
     return None
 
 
@@ -520,27 +525,25 @@ def _is_descriptor(m: PairPW) -> bool:
     return isinstance(m.partition, PartitionDescriptor) and isinstance(m.weight, Weight)
 
 
-def _descriptor_pairs(src: MemberSource) -> list[PairPW]:
-    if isinstance(src, ExplicitMembers):
-        return list(src.pairs)
-    if isinstance(src, SubsetLattice):
-        return _lattice_pairs(src)
-    if isinstance(src, ExtendedMembers):
-        return _descriptor_pairs(src.base) + list(src.extra)
+def _tensor_pairs(src: TensorMembers, left: list[PairPW], right: list[PairPW]) -> list[PairPW]:
     la, ra = src.left.arity, src.right.arity
-    left = [
-        (m.partition.fixed_coords(la), CoordinateLift(tuple(range(1, la + 1)), m.weight), m.label)
-        for m in _descriptor_pairs(src.left.members)
-    ]
-    right = [
-        (frozenset(la + q for q in m.partition.fixed_coords(ra)),
-         CoordinateLift(tuple(range(la + 1, la + ra + 1)), m.weight), m.label)
-        for m in _descriptor_pairs(src.right.members)
-    ]
+    fixed_left = [(m.partition.fixed_coords(la), m) for m in left]
+    fixed_right = [(frozenset(la + q for q in m.partition.fixed_coords(ra)), m) for m in right]
     return [
-        PairPW(CoordinateGrouping(lf | rf), Product((lw, rw)), f"({ll})x({rl})")
-        for (lf, lw, ll), (rf, rw, rl) in itertools.product(left, right)
+        PairPW(CoordinateGrouping(lf | rf), _tensor_weight(src, lm.weight, rm.weight),
+               f"({lm.label})x({rm.label})")
+        for (lf, lm), (rf, rm) in itertools.product(fixed_left, fixed_right)
     ]
+
+
+def _tensor_weight(src: TensorMembers, left: Weight, right: Weight) -> Product:
+    """The left factor's weight on the left coordinates times the right
+    factor's on the coordinates shifted past them."""
+    la, ra = src.left.arity, src.right.arity
+    return Product((
+        CoordinateLift(tuple(range(1, la + 1)), left),
+        CoordinateLift(tuple(range(la + 1, la + ra + 1)), right),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -621,15 +624,7 @@ def indiscrete_weight(family: Family) -> Weight:
     if isinstance(src, SumMembers):
         return _SumIndiscreteWeight(src)
     if isinstance(src, TensorMembers):
-        lw = indiscrete_weight(src.left)
-        rw = indiscrete_weight(src.right)
-        la = src.left.arity
-        return Product(
-            (
-                CoordinateLift(tuple(range(1, la + 1)), lw),
-                CoordinateLift(tuple(range(la + 1, la + src.right.arity + 1)), rw),
-            )
-        )
+        return _tensor_weight(src, indiscrete_weight(src.left), indiscrete_weight(src.right))
     if isinstance(src, EnvelopeMembers):
         return indiscrete_weight(src.inner)
     raise ValidationError(f"unknown member source {type(src).__name__}")  # pragma: no cover

@@ -42,18 +42,11 @@ def term(c: float, w: float) -> float:
     return (c * c) * (w * w)
 
 
-def canonical_value(cell_terms: Sequence[Sequence[float]], p: float, singletons=()) -> float:
-    """((Σ_cells (Σ terms)^{p/2})^{1/p} with fsum at both levels.
-
-    ``singletons`` lists (K, t) for K further cells that hold the single
-    term t each; they enter the outer sum as the exact parts of K·t^{p/2},
-    which fsum adds exactly as it would add K copies of t^{p/2}.
-    """
+def canonical_value(cell_terms: Sequence[Sequence[float]], p: float) -> float:
+    """((Σ_cells (Σ terms)^{p/2})^{1/p} with fsum at both levels."""
     hp = p / 2.0
     try:
         outer_terms = [pow(math.fsum(ts), hp) for ts in cell_terms]
-        for k, t in singletons:
-            outer_terms.extend(_exact_multiple(k, pow(t, hp)))
     except OverflowError as exc:
         raise NormOverflowError(f"norm evaluation overflowed ({exc})") from exc
     return _root(outer_terms, p)

@@ -1,4 +1,6 @@
 import csv
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -348,6 +350,34 @@ def test_csv_outputs_are_byte_stable(tmp_path):
         assert main(argv + ["--out", b]) == 0
         with open(a, "rb") as fa, open(b, "rb") as fb:
             assert fa.read() == fb.read()
+
+
+# --- experiment scripts ------------------------------------------------------------
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "script, args, command",
+    [
+        ("run_yn_experiment", ["--n", "3", "--eps", "1.0"], "experiment-yn"),
+        ("run_rosenthal_check", ["--n", "3", "--samples", "10000", "--seed", "0"],
+         "experiment-rosenthal"),
+    ],
+)
+def test_script_csv_is_the_cli_csv(tmp_path, capsys, script, args, command):
+    ours, theirs = tmp_path / "script.csv", tmp_path / "cli.csv"
+    assert _script(script).main(args + ["--out", str(ours)]) == 0
+    assert capsys.readouterr().out.endswith(f"wrote {ours}\n")
+    assert main(["--command", command] + args + ["--out", str(theirs)]) == 0
+    assert ours.read_bytes() == theirs.read_bytes()
 
 
 # --- exit codes --------------------------------------------------------------------

@@ -97,7 +97,7 @@ def test_point_cap_is_checked_before_restricting(monkeypatch):
 
 def test_member_cap_names_the_member_count():
     ef = envelope_family(make_rosenthal_xp(4.0, PowerDecay(0.25)))
-    with pytest.raises(CapacityError, match="10 members exceed the exhaustive cap 4"):
+    with pytest.raises(CapacityError, match="10 members exceed the exhaustive cap 8"):
         has_envelope_property(ef, ((1,), (2,), (3,)))
 
 
@@ -347,6 +347,22 @@ def test_envelope_lower_bound_validates_assignment():
         envelope_lower_bound(x, XP_HALF, Assignment(((1,), (2,)), ("nope", "discrete")))
     with pytest.raises(ValidationError, match="lacks members"):
         envelope_lower_bound(x, XP_HALF, Assignment(((1,),), ("discrete",)))
+
+
+def test_envelope_lower_bound_is_linear_in_the_support():
+    # 30,000 points listed in reverse, then the first point again with the
+    # other member: its first occurrence decides, as tuple.index would
+    n = 30_000
+    x = SparseVector(1, entries=tuple(((i,), 1.0 / i) for i in range(1, n + 1)))
+    supp = x.support()
+    members = restrict_family(XP_HALF, supp)
+    choice = [i % 3 % 2 for i in range(n)]
+    points = tuple(reversed(supp)) + (supp[0],)
+    labels = tuple(members[r].label for r in reversed(choice)) + (members[1 - choice[0]].label,)
+    t0 = time.process_time()
+    lb = envelope_lower_bound(x, XP_HALF, Assignment(points, labels))
+    assert time.process_time() - t0 < 5.0  # about 0.4 s; a scan per point takes 15 s
+    assert lb == pair_norm(x, assignment_pair(supp, members, choice), 4.0)
 
 
 def test_distortion_certificate_golden():
