@@ -40,8 +40,11 @@ def main(argv=None):
               f"rhs = {fmt(res.rhs)}, ratio = {fmt(res.ratio)}")
         if args.sweep:
             fine = rosenthal_mc(variables, args.p, 4 * args.samples, args.seed)
+            # a constant |sum| (N = 1 with q = 1) has stderr 0 at any sample count
+            shrink = (f"shrink {fmt(fine.stderr / res.stderr)}" if res.stderr
+                      else "no shrink ratio: the stderr at 1x samples is 0")
             print(f"      4x samples: lhs = {fmt(fine.lhs_est)} "
-                  f"(stderr {fmt(fine.stderr)}, shrink {fmt(fine.stderr / res.stderr)})")
+                  f"(stderr {fmt(fine.stderr)}, {shrink})")
         header, row = rosenthal_csv(res, n, args.p)
         rows.append(row)
 

@@ -21,13 +21,9 @@ arguments are resolved against each node's parameter list at parse time,
 so the AST is purely positional and ``print_config`` / ``parse_config``
 round-trip exactly.
 
-Space nodes: lp, l2(w), sum_l2_lp(w), xp(w), schechtman(w, w2),
-yn(n, w), p2w_sum(children, W), lp_sum(children), tensor(left, right),
-xp_alpha(q, r, L), envelope(inner), admissible(inner[, w]).
-
-Weight nodes: one, const(c), power_decay(alpha), geometric(ratio),
-explicit(head, tail), interleave(even, odd), lift(positions, inner),
-product(...), min(...).
+Each node and its parameters are declared once, in ``SPACE_NODES`` and
+``WEIGHT_NODES``.  Text nests at most ``MAX_NESTING`` levels of nodes
+and lists.
 """
 
 from __future__ import annotations
@@ -74,6 +70,7 @@ __all__ = [
     "build_weight",
     "SPACE_NODES",
     "WEIGHT_NODES",
+    "MAX_NESTING",
 ]
 
 
@@ -83,35 +80,56 @@ class ConfigNode:
     args: tuple = ()
 
 
-# name -> (parameter names, minimum argument count, variadic)
+# A cap on the levels of nodes and lists in a config, and on the r + q*L
+# levels of an xp_alpha family; configs in use nest about 6 levels.
+MAX_NESTING = 64
+
+
+def _xp_alpha(p: float, q: int, r: int, L: int) -> Family:
+    if r + q * L > MAX_NESTING:
+        raise ValidationError(f"nests r + q*L = {r + q * L} levels, more than {MAX_NESTING}")
+    return xp_alpha(p, OrdinalDesc(q, r, L))
+
+
+# name -> (builder, parameters as (name, kind) pairs, minimum argument count,
+# variadic).  A kind is "number", "natK" (an integer >= K), "weight", "space"
+# or "[kind]", a list of these.  Space builders take p first.  A variadic
+# node's arguments are the items of its one list parameter.
 SPACE_NODES = {
-    "lp": ((), 0, False),
-    "l2": (("w",), 1, False),
-    "sum_l2_lp": (("w",), 1, False),
-    "xp": (("w",), 1, False),
-    "schechtman": (("w", "w2"), 2, False),
-    "yn": (("n", "w"), 2, False),
-    "p2w_sum": (("children", "W"), 2, False),
-    "lp_sum": (("children",), 1, False),
-    "tensor": (("left", "right"), 2, False),
-    "xp_alpha": (("q", "r", "L"), 3, False),
-    "envelope": (("inner",), 1, False),
-    "admissible": (("inner", "w"), 1, False),
+    "lp": (make_lp, (), 0, False),
+    "l2": (make_l2, (("w", "weight"),), 1, False),
+    "sum_l2_lp": (make_sum_l2_lp, (("w", "weight"),), 1, False),
+    "xp": (make_rosenthal_xp, (("w", "weight"),), 1, False),
+    "schechtman": (make_schechtman, (("w", "weight"), ("w2", "weight")), 2, False),
+    "yn": (make_Yn, (("n", "nat1"), ("w", "weight")), 2, False),
+    "p2w_sum": (lambda p, children, W: p2w_sum(children, W),
+                (("children", "[space]"), ("W", "weight")), 2, False),
+    "lp_sum": (lambda p, children: lp_sum(children), (("children", "[space]"),), 1, False),
+    "tensor": (lambda p, left, right: tensor_family(left, right),
+               (("left", "space"), ("right", "space")), 2, False),
+    "xp_alpha": (_xp_alpha, (("q", "nat0"), ("r", "nat0"), ("L", "nat1")), 3, False),
+    "envelope": (lambda p, inner: envelope_family(inner), (("inner", "space"),), 1, False),
+    "admissible": (lambda p, *args: make_admissible(*args),
+                   (("inner", "space"), ("w", "weight")), 1, False),
 }
 
 WEIGHT_NODES = {
-    "one": ((), 0, False),
-    "const": (("c",), 1, False),
-    "power_decay": (("alpha",), 1, False),
-    "geometric": (("ratio",), 1, False),
-    "explicit": (("head", "tail"), 2, False),
-    "interleave": (("even", "odd"), 2, False),
-    "lift": (("positions", "inner"), 2, False),
-    "product": (("factors",), 1, True),
-    "min": (("factors",), 1, True),
+    "one": (One, (), 0, False),
+    "const": (Constant, (("c", "number"),), 1, False),
+    "power_decay": (PowerDecay, (("alpha", "number"),), 1, False),
+    "geometric": (Geometric, (("ratio", "number"),), 1, False),
+    "explicit": (Explicit, (("head", "[number]"), ("tail", "weight")), 2, False),
+    "interleave": (Interleave, (("even", "weight"), ("odd", "weight")), 2, False),
+    "lift": (CoordinateLift, (("positions", "[nat1]"), ("inner", "weight")), 2, False),
+    "product": (Product, (("factor", "[weight]"),), 1, True),
+    "min": (Min, (("factor", "[weight]"),), 1, True),
 }
 
-_ALL_NODES = {**SPACE_NODES, **WEIGHT_NODES}
+# the parser's view: name -> (parameter names, minimum argument count, variadic)
+_ALL_NODES = {
+    name: (tuple(param for param, _ in params), min_args, variadic)
+    for name, (_, params, min_args, variadic) in {**SPACE_NODES, **WEIGHT_NODES}.items()
+}
 
 
 # ---------------------------------------------------------------------------
@@ -183,25 +201,27 @@ class _Parser:
             return int(tok.text)
         return float(tok.text)
 
-    def parse_value(self):
+    def parse_value(self, depth: int):
         t = self.next()
         if t.kind == "number":
             return self.parse_number(t)
+        if depth > MAX_NESTING and (t.kind == "name" or t.text == "["):
+            raise self.fail(t, f"nested deeper than {MAX_NESTING} levels of nodes and lists")
         if t.kind == "name":
-            return self.parse_node(t)
+            return self.parse_node(t, depth)
         if t.kind == "sym" and t.text == "[":
-            items = [self.parse_value()]
+            items = [self.parse_value(depth + 1)]
             while True:
                 nxt = self.next()
                 if nxt.kind == "sym" and nxt.text == "]":
                     return tuple(items)
                 if nxt.kind == "sym" and nxt.text == ",":
-                    items.append(self.parse_value())
+                    items.append(self.parse_value(depth + 1))
                     continue
                 raise self.fail(nxt, "expected ',' or ']' in list")
         raise self.fail(t, "expected a number, node, or list" + (f", got {t.text!r}" if t.text else ""))
 
-    def parse_node(self, name_tok: _Token) -> ConfigNode:
+    def parse_node(self, name_tok: _Token, depth: int) -> ConfigNode:
         name = name_tok.text
         if name not in _ALL_NODES:
             raise self.fail(name_tok, f"unknown node {name!r}")
@@ -226,13 +246,13 @@ class _Parser:
                         raise self.fail(key_tok, f"{name} has no parameter {key_tok.text!r}")
                     if key_tok.text in keyword:
                         raise self.fail(key_tok, f"duplicate keyword {key_tok.text!r}")
-                    keyword[key_tok.text] = self.parse_value()
+                    keyword[key_tok.text] = self.parse_value(depth + 1)
                 else:
                     if keyword:
                         raise self.fail(
                             self.peek(), "positional argument after keyword argument"
                         )
-                    positional.append(self.parse_value())
+                    positional.append(self.parse_value(depth + 1))
                 nxt = self.next()
                 if nxt.kind == "sym" and nxt.text == ")":
                     break
@@ -295,7 +315,7 @@ def parse_config(text: str) -> tuple[int | float, ConfigNode]:
             name_tok = pz.next()
             if name_tok.kind != "name":
                 raise pz.fail(name_tok, "space must be a node expression")
-            space = pz.parse_node(name_tok)
+            space = pz.parse_node(name_tok, 1)
     tail = pz.next()
     if tail.kind != "eof":
         raise pz.fail(tail, "unexpected trailing input")
@@ -336,17 +356,21 @@ def print_config(p: int | float, space: ConfigNode) -> str:
 # ---------------------------------------------------------------------------
 # semantic construction
 
-def _wrap(path: str, exc: Exception) -> ValidationError:
-    return ValidationError(f"{path}: {exc}")
-
-
-def _num(v, path: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValidationError(f"{path}: expected a number")
-    return float(v)
-
-
-def _nat(v, path: str, minimum: int = 0) -> int:
+def _convert(v, kind: str, path: str, p: float | None):
+    """One argument checked and built by its kind; errors name it by path."""
+    if kind.startswith("["):
+        if not isinstance(v, tuple):
+            raise ValidationError(f"{path}: expected a list")
+        return tuple(_convert(x, kind[1:-1], f"{path}[{i + 1}]", p) for i, x in enumerate(v))
+    if kind == "space":
+        return build_space(p, v, path)
+    if kind == "weight":
+        return build_weight(v, path)
+    if kind == "number":
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ValidationError(f"{path}: expected a number")
+        return float(v)
+    minimum = int(kind[3:])
     if isinstance(v, bool) or not isinstance(v, int):
         raise ValidationError(f"{path}: expected an integer")
     if v < minimum:
@@ -354,118 +378,31 @@ def _nat(v, path: str, minimum: int = 0) -> int:
     return v
 
 
-def _node(v, path: str) -> ConfigNode:
-    if not isinstance(v, ConfigNode):
+def _build(node, path: str, kind: str, p: float | None = None):
+    """Build a space or weight node from its table entry.  A builder's
+    error that names no path below ``path`` gets ``path.node:`` in front."""
+    if not isinstance(node, ConfigNode):
         raise ValidationError(f"{path}: expected a node expression")
-    return v
-
-
-def _list(v, path: str) -> tuple:
-    if not isinstance(v, tuple):
-        raise ValidationError(f"{path}: expected a list")
-    return v
+    table = SPACE_NODES if kind == "space" else WEIGHT_NODES
+    if node.name not in table:
+        raise ValidationError(f"{path}: {node.name!r} is not a {kind} node")
+    builder, params, _, variadic = table[node.name]
+    here = f"{path}.{node.name}"
+    try:
+        args = [
+            _convert(v, param_kind, f"{here}.{param}", p)
+            for (param, param_kind), v in zip(params, (node.args,) if variadic else node.args)
+        ]
+        return builder(*args) if p is None else builder(p, *args)
+    except ValidationError as exc:
+        if str(exc).startswith((f"{here}.", f"{path}:")):
+            raise
+        raise ValidationError(f"{here}: {exc}") from exc
 
 
 def build_weight(node, path: str) -> Weight:
-    node = _node(node, path)
-    if node.name not in WEIGHT_NODES:
-        raise ValidationError(f"{path}: {node.name!r} is not a weight node")
-    here = f"{path}.{node.name}"
-    a = node.args
-    try:
-        if node.name == "one":
-            return One()
-        if node.name == "const":
-            return Constant(_num(a[0], f"{here}.c"))
-        if node.name == "power_decay":
-            return PowerDecay(_num(a[0], f"{here}.alpha"))
-        if node.name == "geometric":
-            return Geometric(_num(a[0], f"{here}.ratio"))
-        if node.name == "explicit":
-            head = tuple(
-                _num(v, f"{here}.head[{i + 1}]")
-                for i, v in enumerate(_list(a[0], f"{here}.head"))
-            )
-            return Explicit(head, build_weight(a[1], f"{here}.tail"))
-        if node.name == "interleave":
-            return Interleave(
-                build_weight(a[0], f"{here}.even"), build_weight(a[1], f"{here}.odd")
-            )
-        if node.name == "lift":
-            positions = tuple(
-                _nat(v, f"{here}.positions[{i + 1}]", 1)
-                for i, v in enumerate(_list(a[0], f"{here}.positions"))
-            )
-            return CoordinateLift(positions, build_weight(a[1], f"{here}.inner"))
-        if node.name == "product":
-            return Product(
-                tuple(build_weight(v, f"{here}.factor[{i + 1}]") for i, v in enumerate(a))
-            )
-        if node.name == "min":
-            return Min(
-                tuple(build_weight(v, f"{here}.factor[{i + 1}]") for i, v in enumerate(a))
-            )
-    except ValidationError as exc:
-        if str(exc).startswith(f"{here}.") or str(exc).startswith(f"{path}:"):
-            raise
-        raise _wrap(here, exc) from exc
-    raise ValidationError(f"{path}: unhandled weight node {node.name!r}")  # pragma: no cover
+    return _build(node, path, "weight")
 
 
 def build_space(p: float, node, path: str = "space") -> Family:
-    p = float(p)
-    node = _node(node, path)
-    if node.name not in SPACE_NODES:
-        raise ValidationError(f"{path}: {node.name!r} is not a space node")
-    here = f"{path}.{node.name}"
-    a = node.args
-    try:
-        if node.name == "lp":
-            return make_lp(p)
-        if node.name == "l2":
-            return make_l2(p, build_weight(a[0], f"{here}.w"))
-        if node.name == "sum_l2_lp":
-            return make_sum_l2_lp(p, build_weight(a[0], f"{here}.w"))
-        if node.name == "xp":
-            return make_rosenthal_xp(p, build_weight(a[0], f"{here}.w"))
-        if node.name == "schechtman":
-            return make_schechtman(
-                p, build_weight(a[0], f"{here}.w"), build_weight(a[1], f"{here}.w2")
-            )
-        if node.name == "yn":
-            return make_Yn(p, _nat(a[0], f"{here}.n", 1), build_weight(a[1], f"{here}.w"))
-        if node.name == "p2w_sum":
-            children = [
-                build_space(p, ch, f"{here}.children[{i + 1}]")
-                for i, ch in enumerate(_list(a[0], f"{here}.children"))
-            ]
-            return p2w_sum(children, build_weight(a[1], f"{here}.W"))
-        if node.name == "lp_sum":
-            children = [
-                build_space(p, ch, f"{here}.children[{i + 1}]")
-                for i, ch in enumerate(_list(a[0], f"{here}.children"))
-            ]
-            return lp_sum(children)
-        if node.name == "tensor":
-            return tensor_family(
-                build_space(p, a[0], f"{here}.left"), build_space(p, a[1], f"{here}.right")
-            )
-        if node.name == "xp_alpha":
-            desc = OrdinalDesc(
-                _nat(a[0], f"{here}.q", 0),
-                _nat(a[1], f"{here}.r", 0),
-                _nat(a[2], f"{here}.L", 1),
-            )
-            return xp_alpha(p, desc)
-        if node.name == "envelope":
-            return envelope_family(build_space(p, a[0], f"{here}.inner"))
-        if node.name == "admissible":
-            inner = build_space(p, a[0], f"{here}.inner")
-            if len(a) > 1:
-                return make_admissible(inner, build_weight(a[1], f"{here}.w"))
-            return make_admissible(inner)
-    except ValidationError as exc:
-        if str(exc).startswith(f"{here}.") or str(exc).startswith(f"{path}:"):
-            raise
-        raise _wrap(here, exc) from exc
-    raise ValidationError(f"{path}: unhandled space node {node.name!r}")  # pragma: no cover
+    return _build(node, path, "space", float(p))

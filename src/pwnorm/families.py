@@ -94,6 +94,12 @@ class SumMembers:
     def __post_init__(self) -> None:
         if not self.children:
             raise ValidationError("sum needs at least one child")
+        for i, ch in enumerate(self.children):
+            if not is_admissible(ch):
+                raise ValidationError(
+                    f"child {i + 1} is not admissible (needs discrete-with-weight-1 "
+                    "and an indiscrete member); wrap it with make_admissible"
+                )
         p = self.children[0].p
         for ch in self.children:
             if ch.p != p:
@@ -583,10 +589,8 @@ def is_admissible(family: Family) -> bool:
     """True when the family contains the discrete partition with weight 1
     and the indiscrete partition with some weight."""
     src = family.members
-    if isinstance(src, SubsetLattice):
-        return True
-    if isinstance(src, SumMembers):
-        return all(is_admissible(ch) for ch in src.children)
+    if isinstance(src, (SubsetLattice, SumMembers)):
+        return True  # a sum's children are checked when it is built
     if isinstance(src, TensorMembers):
         return is_admissible(src.left) and is_admissible(src.right)
     if isinstance(src, EnvelopeMembers):

@@ -180,12 +180,6 @@ def p2w_sum(children: Sequence[Family], W: Weight) -> Family:
     children = tuple(children)
     if not children:
         raise ValidationError("p2w_sum needs at least one child")
-    for i, ch in enumerate(children):
-        if not is_admissible(ch):
-            raise ValidationError(
-                f"child {i + 1} is not admissible (needs discrete-with-weight-1 "
-                "and an indiscrete member); wrap it with make_admissible"
-            )
     arity = 1 + max(ch.arity for ch in children)
     return Family(children[0].p, arity, SumMembers(children, W))
 
@@ -227,18 +221,16 @@ def xp_alpha(p: float, alpha: OrdinalDesc) -> Family:
         ),
     )
     w1 = Constant(2.0 ** ((2.0 - p) / (2.0 * p)))
-
-    def build(q: int, r: int) -> Family:
-        if q == 0 and r == 0:
-            return base
-        if r > 0:
-            prev = build(q, r - 1)
-            return p2w_sum((prev, prev), w1)
-        # limit stage ω·q: the first L ordinals ω·(q-1)+s
-        preds = [build(q - 1, s) for s in range(alpha.limit_truncation)]
-        return p2w_sum(preds, One())
-
-    return build(alpha.q, alpha.r)
+    stage = base
+    for _ in range(alpha.q):
+        # the next limit stage sums the first L ordinals from this one on
+        preds = [stage]
+        while len(preds) < alpha.limit_truncation:
+            preds.append(p2w_sum((preds[-1], preds[-1]), w1))
+        stage = p2w_sum(preds, One())
+    for _ in range(alpha.r):
+        stage = p2w_sum((stage, stage), w1)
+    return stage
 
 
 def make_admissible(f: Family, ind_weight: Weight | None = None) -> Family:

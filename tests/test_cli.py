@@ -1,5 +1,7 @@
 import csv
 import importlib.util
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -380,6 +382,31 @@ def test_script_csv_is_the_cli_csv(tmp_path, capsys, script, args, command):
     assert ours.read_bytes() == theirs.read_bytes()
 
 
+def test_rosenthal_sweep_survives_a_zero_stderr(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    argv = ["--n", "1", "2", "--samples", "10000", "--sweep", "--out", str(out)]
+    assert _script("run_rosenthal_check").main(argv) == 0
+    assert "(stderr 0, no shrink ratio: the stderr at 1x samples is 0)" in capsys.readouterr().out
+    assert [row[0] for row in _rows(out)] == ["N", "1", "2"]
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    readme = (SCRIPTS.parent / "README.md").read_text()
+    config = re.search(r"```\n(p = .*?)```", readme, re.S).group(1)
+    assert "p2w_sum([admissible(xp(power_decay(0.25))), admissible(lp)], const(0.7))" in config
+    build_space(*parse_config(config))
+    commands = [shlex.split(line) for line in readme.splitlines() if line.startswith("python3 ")]
+    assert [argv[1] for argv in commands] == [
+        "scripts/run_yn_experiment.py",
+        "scripts/run_rosenthal_check.py",
+    ]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        name = Path(argv[1]).stem
+        samples = ["--samples", "10000"] if name == "run_rosenthal_check" else []
+        assert _script(name).main(argv[2:] + samples) == 0
+
+
 # --- exit codes --------------------------------------------------------------------
 
 
@@ -395,6 +422,26 @@ def test_exit_code_2_on_validation_error(tmp_path, capsys):
     rc = main(["--command", "norm", "--config", cfg, "--vector", _vec(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+_TOO_DEEP = "parse error: line 2, column 585: nested deeper than 64 levels of nodes and lists"
+_XP_TOO_DEEP = "error: space.xp_alpha: nests r + q*L = 1500 levels, more than 64"
+
+
+@pytest.mark.parametrize(
+    "space, message",
+    [
+        ("envelope(" * 250 + "lp" + ")" * 250, _TOO_DEEP),
+        ("envelope(" * 3000 + "lp" + ")" * 3000, _TOO_DEEP),
+        ("xp_alpha(0, 1500, 1)", _XP_TOO_DEEP),
+        ("xp_alpha(1500, 0, 1)", _XP_TOO_DEEP),
+    ],
+    ids=["envelope-250", "envelope-3000", "xp_alpha-r", "xp_alpha-q"],
+)
+def test_exit_code_2_on_deep_nesting(tmp_path, capsys, space, message):
+    cfg = _cfg(tmp_path, f"p = 4\nspace = {space}\n")
+    rc = main(["--command", "norm", "--config", cfg, "--vector", _vec(tmp_path)])
+    assert (rc, capsys.readouterr().err) == (2, message + "\n")
 
 
 def test_exit_code_2_on_bad_vector(tmp_path, capsys):

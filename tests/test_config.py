@@ -1,10 +1,12 @@
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pwnorm.config import (
+    MAX_NESTING,
     ConfigNode,
     build_space,
     build_weight,
@@ -232,6 +234,25 @@ def test_build_space_rejects_overflowing_p():
 def test_build_space_rejects_weight_node_directly():
     with pytest.raises(ValidationError, match="'one' is not a space node"):
         build_space(4.0, ConfigNode("one"))
+
+
+@pytest.mark.parametrize("expr", ["xp_alpha(0, 40, 1)", "xp_alpha(8, 0, 4)", "xp_alpha(0, 64, 1)"])
+def test_xp_alpha_builds_each_stage_once(expr):
+    start = time.process_time()
+    build_space(*parse_config(f"p = 4\nspace = {expr}\n"))
+    assert time.process_time() - start < 2.0
+
+
+def test_nesting_limit_counts_nodes_and_lists():
+    at_limit = "envelope(" * (MAX_NESTING - 1) + "lp" + ")" * (MAX_NESTING - 1)
+    assert build_space(*parse_config(f"p = 4\nspace = {at_limit}\n")).arity == 1
+    for opener, closer in (("envelope(", ")"), ("lp_sum([", "])")):
+        n = MAX_NESTING // len(re.findall(r"[(\[]", opener))
+        with pytest.raises(ParseError) as exc:
+            parse_config(f"p = 4\nspace = {opener * n}lp{closer * n}\n")
+        assert str(exc.value) == (
+            f"line 2, column {9 + len(opener) * n}: nested deeper than 64 levels of nodes and lists"
+        )
 
 
 # --- randomized round-trip --------------------------------------------------------
