@@ -2,8 +2,10 @@
 
 One invocation runs one command against a config (space expression) and
 optionally a vector file, prints a human-readable report, and can write
-the same results as a CSV row.  All floating-point output uses 15
-significant digits; CSV output is byte-stable for fixed inputs and seed.
+the same results as CSV rows: one row, or for the experiments one row per
+case (``--eps``, ``--n`` and ``--samples`` take lists).  All
+floating-point output uses 15 significant digits; CSV output is
+byte-stable for fixed inputs and seed.
 
 Vector files hold one entry per line::
 
@@ -19,7 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import norms
 from .config import build_space, build_weight, format_node, parse_config
@@ -27,13 +29,13 @@ from .envelope import (
     DEFAULT_CHECK_MEMBERS, distortion_certificate, envelope_norm_exact, has_envelope_property,
 )
 from .errors import CapacityError, ParseError, PwnormError, ValidationError
-from .experiments import RosenthalResult, YnReport, rosenthal_mc, yn_default_params, yn_report
+from .experiments import rosenthal_mc, yn_default_params, yn_report
 from .norms import family_norm
 from .spaces import classify_rosenthal
 from .vectors import ConstantBlock, SparseVector
 from .weights import PowerDecay
 
-__all__ = ["main", "read_vector", "read_variables", "fmt", "write_csv", "yn_csv", "rosenthal_csv"]
+__all__ = ["main", "read_vector", "read_variables", "fmt"]
 
 
 def fmt(v: float) -> str:
@@ -121,49 +123,11 @@ def read_variables(path: str) -> list[tuple[float, float]]:
 # ---------------------------------------------------------------------------
 # output
 
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def yn_csv(rep: YnReport) -> tuple[list[str], list[str]]:
-    """The ``experiment-yn`` CSV header and row of a witness report."""
-    params = rep.params
-    header = (
-        ["n", "p", "eps", "m", "K"]
-        + [f"S_{i}" for i in range(len(rep.sums))]
-        + ["given_norm", "envelope_lb", "ratio", "distance_lb"]
-    )
-    row = (
-        [
-            str(params.n),
-            fmt(params.p),
-            fmt(params.eps),
-            ";".join(str(v) for v in params.m),
-            ";".join(str(v) for v in params.K),
-        ]
-        + [fmt(s) for s in rep.sums]
-        + [fmt(rep.given_norm), fmt(rep.envelope_lb), fmt(rep.ratio), fmt(rep.distance_lb)]
-    )
-    return header, row
-
-
-def rosenthal_csv(res: RosenthalResult, n: int, p: float) -> tuple[list[str], list[str]]:
-    """The ``experiment-rosenthal`` CSV header and row of an estimate over
-    ``n`` variables at exponent ``p``."""
-    header = ["N", "p", "samples", "seed", "lhs_est", "stderr", "rhs", "ratio"]
-    row = [str(n), fmt(p), str(res.samples), str(res.seed)]
-    row += [fmt(res.lhs_est), fmt(res.stderr), fmt(res.rhs), fmt(res.ratio)]
-    return header, row
-
-
-def _space_csv(args, p: float, expr, **fields: str) -> tuple[list[str], list[str]]:
-    """The CSV header and row of a command on a config's space: the
+def _space_csv(args, p: float, expr, **fields: str) -> tuple[list[str], list[list[str]]]:
+    """The CSV header and one row of a command on a config's space: the
     command, the space and p, then the fields."""
     header = ["command", "space", "p", *fields]
-    return header, [args.command, format_node(expr), fmt(p), *fields.values()]
+    return header, [[args.command, format_node(expr), fmt(p), *fields.values()]]
 
 
 def _need(args, what: str, flag: str):
@@ -189,7 +153,7 @@ def _load_vector(args):
 # ---------------------------------------------------------------------------
 # commands
 
-Report = tuple[list[str], list[str], list[str]]  # stdout lines, CSV header, CSV row
+Report = tuple[list[str], list[str], list[list[str]]]  # stdout lines, CSV header, CSV rows
 
 
 def _cmd_norm(args) -> Report:
@@ -261,43 +225,66 @@ def _cmd_check_envelope(args) -> Report:
 
 
 def _cmd_experiment_yn(args) -> Report:
+    if len(args.n or ()) > 1:
+        raise ValidationError("experiment-yn takes one --n: its S_0..S_{2^n-1} columns depend on n")
     p = 4.0
     w = PowerDecay(0.25)
-    n = args.n
+    n = args.n[0] if args.n else None
     if args.config:
         p, expr = _read_config(args.config)
         if expr.name == "yn":
             if n is None:
                 n = int(expr.args[0])
             w = build_weight(expr.args[1], "space.yn.w")
-    rep = yn_report(yn_default_params(p=p, n=3 if n is None else n, eps=args.eps, w=w))
-    params = rep.params
-    lines = [
-        f"n = {params.n}, p = {fmt(params.p)}, eps = {fmt(params.eps)}",
-        f"m = {params.m}, K = {params.K}",
-        *(f"  {lbl}: {fmt(s)}" for lbl, s in zip(rep.labels, rep.sums)),
-        f"given norm  = {fmt(rep.given_norm)}",
-        f"envelope lb = {fmt(rep.envelope_lb)}",
-        f"ratio       = {fmt(rep.ratio)}",
-        f"distance lb = {fmt(rep.distance_lb)}",
-    ]
-    return lines, *yn_csv(rep)
+    lines, rows = [], []
+    for eps in args.eps:
+        rep = yn_report(yn_default_params(p=p, n=3 if n is None else n, eps=eps, w=w))
+        params = rep.params
+        lines += [
+            f"n = {params.n}, p = {fmt(params.p)}, eps = {fmt(params.eps)}",
+            f"m = {params.m}, K = {params.K}",
+            *(f"  {lbl}: {fmt(s)}" for lbl, s in zip(rep.labels, rep.sums)),
+            f"given norm  = {fmt(rep.given_norm)}",
+            f"envelope lb = {fmt(rep.envelope_lb)}",
+            f"ratio       = {fmt(rep.ratio)}",
+            f"distance lb = {fmt(rep.distance_lb)}",
+        ]
+        rows.append(
+            [str(params.n), fmt(params.p), fmt(params.eps)]
+            + [";".join(map(str, params.m)), ";".join(map(str, params.K))]
+            + [fmt(v) for v in rep.sums]
+            + [fmt(v) for v in (rep.given_norm, rep.envelope_lb, rep.ratio, rep.distance_lb)]
+        )
+    header = (
+        ["n", "p", "eps", "m", "K"]
+        + [f"S_{i}" for i in range(len(rep.sums))]
+        + ["given_norm", "envelope_lb", "ratio", "distance_lb"]
+    )
+    return lines, header, rows
 
 
 def _cmd_experiment_rosenthal(args) -> Report:
     p = _read_config(args.config)[0] if args.config else 4.0
     if args.vector:
-        variables = read_variables(args.vector)
+        cases = [read_variables(args.vector)]
     else:
-        variables = [(1.0, 1.0)] * (args.n if args.n is not None else 10)
-    res = rosenthal_mc(variables, p, args.samples, args.seed)
-    lines = [
-        f"N = {len(variables)}, p = {fmt(p)}, samples = {res.samples}, seed = {res.seed}",
-        f"lhs estimate = {fmt(res.lhs_est)} (stderr {fmt(res.stderr)})",
-        f"rhs exact    = {fmt(res.rhs)}",
-        f"ratio        = {fmt(res.ratio)}",
-    ]
-    return lines, *rosenthal_csv(res, len(variables), p)
+        cases = [[(1.0, 1.0)] * n for n in (args.n or [10])]
+    lines, rows = [], []
+    for variables in cases:
+        for samples in args.samples:
+            res = rosenthal_mc(variables, p, samples, args.seed)
+            lines += [
+                f"N = {len(variables)}, p = {fmt(p)}, samples = {res.samples}, seed = {res.seed}",
+                f"lhs estimate = {fmt(res.lhs_est)} (stderr {fmt(res.stderr)})",
+                f"rhs exact    = {fmt(res.rhs)}",
+                f"ratio        = {fmt(res.ratio)}",
+            ]
+            rows.append(
+                [str(len(variables)), fmt(p), str(res.samples), str(res.seed)]
+                + [fmt(v) for v in (res.lhs_est, res.stderr, res.rhs, res.ratio)]
+            )
+    header = ["N", "p", "samples", "seed", "lhs_est", "stderr", "rhs", "ratio"]
+    return lines, header, rows
 
 
 COMMANDS = {
@@ -325,19 +312,24 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cap-members", type=int, default=DEFAULT_CHECK_MEMBERS,
         help="max restricted members an exhaustive check-envelope-property glues",
     )
-    ap.add_argument("--eps", type=float, default=1.0)
-    ap.add_argument("--n", type=int, default=None)
-    ap.add_argument("--samples", type=int, default=10**6)
+    # the experiments write one row per case: per eps for experiment-yn,
+    # per (n or --vector, sample count) for experiment-rosenthal
+    ap.add_argument("--eps", type=float, nargs="+", default=[1.0])
+    ap.add_argument("--n", type=int, nargs="+", default=None)
+    ap.add_argument("--samples", type=int, nargs="+", default=[10**6])
     return ap
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        lines, header, row = COMMANDS[args.command](args)
+        lines, header, rows = COMMANDS[args.command](args)
         print("\n".join(lines))
         if args.out:
-            write_csv(args.out, header, [row])
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                w = csv.writer(fh, lineterminator="\n")
+                w.writerow(header)
+                w.writerows(rows)
         return 0
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -163,13 +163,20 @@ def has_envelope_property(
     Beyond them, ``sample=N`` glues N random two-cell refinements (a
     non-empty second cell, then a member per cell, drawn from
     ``random.Random(seed)``): a probabilistic verdict, marked
-    non-exhaustive.
+    non-exhaustive.  The closure is idempotent, so past the point cap
+    ``envelope(F)`` holds without a draw; only F is restricted, for its
+    point and weight checks, and ``checked`` is ``sample``.
     """
     opt_in = "pass sample=N to opt into randomized (probabilistic) checking"
     pts = sorted(set(support))
     n = len(pts)
     if sample is None and n > CHECK_MAX_POINTS:
         raise CapacityError(f"{n} points exceed the exhaustive cap {CHECK_MAX_POINTS}; {opt_in}")
+    if n > CHECK_MAX_POINTS and isinstance(f.members, EnvelopeMembers):
+        # the closure is idempotent, so every sampled refinement is a
+        # member: restrict F alone for its point and weight checks
+        _searched_members(f, pts)
+        return EnvelopeCheck(True, False, sample)
     members = restrict_family(f, pts)
     member_keys = {rp.canonical_key() for rp in members}
     exhaustive = n <= CHECK_MAX_POINTS and len(members) <= max_members

@@ -171,6 +171,32 @@ class Family:
         if isinstance(m, EnvelopeMembers) and m.inner.arity != self.arity:
             raise ArityError("envelope closure keeps the inner arity")
 
+    # xp_alpha shares each stage between a successor's two children, so a
+    # walk over the fields meets a stage once per path, 2^depth times.  The
+    # hash is cached and the last family found equal remembered, which
+    # makes both linear in the number of distinct stages.
+
+    def __hash__(self) -> int:
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.p, self.arity, self.members))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Family):
+            return NotImplemented
+        if self.__dict__.get("_same") is other:
+            return True
+        if hash(self) != hash(other) or (self.p, self.arity, self.members) != (
+            other.p, other.arity, other.members
+        ):
+            return False
+        object.__setattr__(self, "_same", other)
+        return True
+
 
 # ---------------------------------------------------------------------------
 # subset-lattice plumbing

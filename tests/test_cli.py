@@ -1,5 +1,4 @@
 import csv
-import importlib.util
 import re
 import shlex
 from pathlib import Path
@@ -354,57 +353,73 @@ def test_csv_outputs_are_byte_stable(tmp_path):
             assert fa.read() == fb.read()
 
 
-# --- experiment scripts ------------------------------------------------------------
-
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+# --- lists of cases ----------------------------------------------------------------
 
 
-def _script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def _csv_of(tmp_path, name, argv):
+    out = tmp_path / name
+    assert main(argv + ["--out", str(out)]) == 0
+    return out.read_text()
 
 
 @pytest.mark.parametrize(
-    "script, args, command",
+    "command, flag, values, fixed",
     [
-        ("run_yn_experiment", ["--n", "3", "--eps", "1.0"], "experiment-yn"),
-        ("run_rosenthal_check", ["--n", "3", "--samples", "10000", "--seed", "0"],
-         "experiment-rosenthal"),
+        ("experiment-yn", "--eps", ["1.0", "0.5", "0.1"], ["--n", "3"]),
+        ("experiment-rosenthal", "--n", ["1", "2", "5"], ["--samples", "10000", "--seed", "3"]),
+        ("experiment-rosenthal", "--samples", ["10000", "40000"], ["--n", "4"]),
     ],
+    ids=["yn-eps", "rosenthal-n", "rosenthal-samples"],
 )
-def test_script_csv_is_the_cli_csv(tmp_path, capsys, script, args, command):
-    ours, theirs = tmp_path / "script.csv", tmp_path / "cli.csv"
-    assert _script(script).main(args + ["--out", str(ours)]) == 0
-    assert capsys.readouterr().out.endswith(f"wrote {ours}\n")
-    assert main(["--command", command] + args + ["--out", str(theirs)]) == 0
-    assert ours.read_bytes() == theirs.read_bytes()
+def test_list_csv_is_the_single_value_rows(tmp_path, capsys, command, flag, values, fixed):
+    argv = ["--command", command, *fixed]
+    many = _csv_of(tmp_path, "many.csv", argv + [flag, *values])
+    many_out = capsys.readouterr().out
+    singles = [_csv_of(tmp_path, f"{v}.csv", argv + [flag, v]) for v in values]
+    header = singles[0].splitlines(keepends=True)[0]
+    assert many == header + "".join(one.splitlines(keepends=True)[1] for one in singles)
+    assert many_out == capsys.readouterr().out
 
 
-def test_rosenthal_sweep_survives_a_zero_stderr(tmp_path, capsys):
-    out = tmp_path / "sweep.csv"
-    argv = ["--n", "1", "2", "--samples", "10000", "--sweep", "--out", str(out)]
-    assert _script("run_rosenthal_check").main(argv) == 0
-    assert "(stderr 0, no shrink ratio: the stderr at 1x samples is 0)" in capsys.readouterr().out
-    assert [row[0] for row in _rows(out)] == ["N", "1", "2"]
+def test_rosenthal_rows_are_cases_then_sample_counts(tmp_path):
+    vars_path = _file(tmp_path, "2.0 0.25\n1.0 1.0\n", "vars.txt")
+    out = str(tmp_path / "r.csv")
+    argv = ["--command", "experiment-rosenthal", "--n", "1", "2", "--samples", "10000", "40000"]
+    assert main(argv + ["--out", out]) == 0
+    rows = _rows(out)[1:]
+    assert [(r[0], r[2]) for r in rows] == [
+        ("1", "10000"), ("1", "40000"), ("2", "10000"), ("2", "40000"),
+    ]
+    # a constant |sum| (N = 1 with q = 1) has standard error 0 at any sample count
+    assert [r[5] for r in rows[:2]] == ["0", "0"]
+    assert main(argv + ["--vector", vars_path, "--out", out]) == 0
+    assert [r[0] for r in _rows(out)[1:]] == ["2", "2"]
+
+
+def test_experiment_yn_takes_one_n(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert main(["--command", "experiment-yn", "--n", "2", "3", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: experiment-yn takes one --n: its S_0..S_{2^n-1} columns depend on n\n"
+    )
+    assert not out.exists()
 
 
 def test_readme_examples_run(tmp_path, monkeypatch):
-    readme = (SCRIPTS.parent / "README.md").read_text()
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     config = re.search(r"```\n(p = .*?)```", readme, re.S).group(1)
     assert "p2w_sum([admissible(xp(power_decay(0.25))), admissible(lp)], const(0.7))" in config
     build_space(*parse_config(config))
-    commands = [shlex.split(line) for line in readme.splitlines() if line.startswith("python3 ")]
-    assert [argv[1] for argv in commands] == [
-        "scripts/run_yn_experiment.py",
-        "scripts/run_rosenthal_check.py",
+    commands = [
+        shlex.split(line) for line in readme.splitlines()
+        if line.startswith("pwnorm --command experiment-")
     ]
+    assert [argv[2] for argv in commands] == ["experiment-yn", "experiment-rosenthal"]
     monkeypatch.chdir(tmp_path)
     for argv in commands:
-        name = Path(argv[1]).stem
-        samples = ["--samples", "10000"] if name == "run_rosenthal_check" else []
-        assert _script(name).main(argv[2:] + samples) == 0
+        # argparse keeps the last --samples, so this one keeps the run short
+        small = ["--samples", "10000", "40000"] if argv[2] == "experiment-rosenthal" else []
+        assert main(argv[1:] + small) == 0
 
 
 # --- exit codes --------------------------------------------------------------------

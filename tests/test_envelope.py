@@ -11,6 +11,7 @@ import oracles
 from conftest import rel_err, small_families, sparse_vectors
 from pwnorm.envelope import (
     Assignment,
+    EnvelopeCheck,
     assignment_pair,
     distortion_certificate,
     envelope_lower_bound,
@@ -31,7 +32,7 @@ from pwnorm.spaces import (
     p2w_sum,
 )
 from pwnorm.vectors import SparseVector
-from pwnorm.weights import Constant, Explicit, One, PowerDecay
+from pwnorm.weights import Constant, Explicit, Geometric, One, PowerDecay
 
 
 XP_HALF = make_rosenthal_xp(4.0, Constant(0.5))
@@ -83,6 +84,10 @@ def test_property_check_caps_and_sampling():
     assert chk.holds
     assert not chk.exhaustive  # probabilistic run never certifies
     assert chk.checked == 60
+    # past the point cap only F is restricted, and its checks still run
+    underflowing = envelope_family(make_rosenthal_xp(4.0, Geometric(0.5)))
+    with pytest.raises(ValidationError, match="underflows to 0.0 at s = 1100"):
+        has_envelope_property(underflowing, pts8[:7] + ((1100,),), sample=5)
 
 
 def test_point_cap_is_checked_before_restricting(monkeypatch):
@@ -102,11 +107,16 @@ def test_member_cap_names_the_member_count():
 
 
 def test_sampling_is_seeded():
-    ef = envelope_family(make_rosenthal_xp(4.0, PowerDecay(0.25)))
+    xp = make_rosenthal_xp(4.0, PowerDecay(0.25))
     pts8 = tuple((i,) for i in range(1, 9))
-    a = has_envelope_property(ef, pts8, sample=25, seed=7, max_members=300)
-    b = has_envelope_property(ef, pts8, sample=25, seed=7, max_members=300)
-    assert (a.holds, a.checked) == (b.holds, b.checked)
+    # xp is not closed, so the draws decide which counterexample comes first
+    a, b, c = (has_envelope_property(xp, pts8, sample=25, seed=s) for s in (7, 7, 8))
+    assert a == b and not a.holds and not a.exhaustive
+    assert c.counterexample != a.counterexample
+    # the closure is idempotent, so envelope(xp) holds on every draw
+    ef = envelope_family(xp)
+    a, b = (has_envelope_property(ef, pts8, sample=25, seed=7, max_members=300) for _ in range(2))
+    assert a == b == EnvelopeCheck(True, False, 25)
 
 
 def _explicit_family(rng, p, base):

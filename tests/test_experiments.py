@@ -1,10 +1,12 @@
 import math
 import warnings
+from dataclasses import replace
 
 import pytest
 
 import oracles
 from conftest import rel_err
+from pwnorm.envelope import Assignment, envelope_lower_bound
 from pwnorm.errors import ValidationError
 from pwnorm.experiments import (
     RosenthalResult,
@@ -16,9 +18,11 @@ from pwnorm.experiments import (
     yn_sums,
     yn_witness,
 )
+from pwnorm.families import subset_label, sum_embed
 from pwnorm.norms import family_norm
-from pwnorm.spaces import make_Yn
-from pwnorm.weights import PowerDecay
+from pwnorm.spaces import make_admissible, make_lp, make_Yn, p2w_sum
+from pwnorm.vectors import SparseVector
+from pwnorm.weights import Constant, PowerDecay
 
 W = PowerDecay(0.25)
 
@@ -151,6 +155,28 @@ def test_max_sum_is_the_family_norm_on_a_large_witness():
     assert max(s) == family_norm(x, fam).value
     o = oracles.yn_expected_sums(prm)
     assert all(rel_err(a, b) < 1e-12 for a, b in zip(s, o))
+
+
+@pytest.mark.parametrize("n, eps", [(2, 3.0), (3, 3.0), (2, 1.0)])
+def test_witness_keeps_its_norms_inside_a_p2_sum(n, eps):
+    # stability under (p,2) sums: the witness lifted into one child of a
+    # sum has that child's norm and envelope bound, bit for bit
+    prm = yn_default_params(n=n, eps=eps)
+    x = yn_witness(prm)
+    fam = p2w_sum([make_admissible(make_lp(4.0)), make_Yn(4.0, n, W)], Constant(0.7))
+    blocks = tuple(
+        replace(b, template=sum_embed(2, b.template, fam.arity), running_coord=b.running_coord + 1)
+        for b in x.blocks
+    )
+    lifted = SparseVector(arity=fam.arity, blocks=blocks)
+    assert family_norm(lifted, fam).value == family_norm(x, make_Yn(4.0, n, W)).value
+    points, labels = [], []
+    for b, blk in enumerate(blocks, 1):
+        others = subset_label([k for k in range(1, n + 1) if k != b])
+        points += blk.points()
+        labels += [f"prod(2:{others})"] * blk.size
+    assignment = Assignment(tuple(points), tuple(labels))
+    assert envelope_lower_bound(lifted, fam, assignment) == yn_envelope_lb(prm)
 
 
 # --- the report -----------------------------------------------------------------

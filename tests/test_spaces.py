@@ -1,5 +1,7 @@
 """Space builders, the ordinal hierarchy, and the classification tables."""
 
+import time
+
 import pytest
 
 from conftest import rel_err
@@ -133,6 +135,26 @@ def test_stage_member_counts_monotone():
 def test_all_stages_admissible():
     for desc in [OrdinalDesc(0, 0), OrdinalDesc(0, 2), OrdinalDesc(1, 0, 2), OrdinalDesc(1, 1, 3)]:
         assert is_admissible(xp_alpha(4.0, desc))
+
+
+def _successors(stage, r):
+    """r successor stages on top of ``stage``, as xp_alpha builds them."""
+    w1 = xp_alpha(4.0, OrdinalDesc(0, 1)).members.outer
+    for _ in range(r):
+        stage = p2w_sum((stage, stage), w1)
+    return stage
+
+
+def test_deep_stages_compare_and_hash_in_linear_time():
+    # each stage is both children of the next, so a walk over the fields
+    # would visit the base 2^64 times
+    t0 = time.process_time()
+    a, b = (xp_alpha(4.0, OrdinalDesc(0, 64, 1)) for _ in range(2))
+    assert a == b and hash(a) == hash(b)
+    assert _successors(xp_alpha(4.0, OrdinalDesc(0, 0)), 64) == a
+    other_base = _successors(make_admissible(make_l2(4.0, Constant(0.5))), 64)
+    assert other_base != a and a != other_base
+    assert time.process_time() - t0 < 1.0
 
 
 # --- admissibility patching --------------------------------------------------
