@@ -266,6 +266,8 @@ def _cmd_experiment_yn(args) -> Report:
 def _cmd_experiment_rosenthal(args) -> Report:
     p = _read_config(args.config)[0] if args.config else 4.0
     if args.vector:
+        if args.n is not None:
+            raise ValidationError("--n is not read by experiment-rosenthal with --vector")
         cases = [read_variables(args.vector)]
     else:
         cases = [[(1.0, 1.0)] * n for n in (args.n or [10])]
@@ -298,31 +300,62 @@ COMMANDS = {
 }
 
 
+# the flags each command reads besides --command and --out; any other
+# flag given is refused rather than silently ignored
+READS = {
+    "norm": {"config", "vector"},
+    "envelope": {"config", "vector"},
+    "distortion": {"config", "vector"},
+    "classify": {"config"},
+    "check-envelope-property": {"config", "vector", "cap_members"},
+    "experiment-yn": {"config", "n", "eps"},
+    "experiment-rosenthal": {"config", "vector", "n", "samples", "seed"},
+}
+
+DEFAULTS = {
+    "config": None,
+    "vector": None,
+    "out": None,
+    "seed": 0,
+    "cap_members": DEFAULT_CHECK_MEMBERS,
+    "eps": [1.0],
+    "n": None,
+    "samples": [10**6],
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
+    # flags left out are absent from the namespace, so the given ones show
     ap = argparse.ArgumentParser(
         prog="pwnorm",
         description="Partition-weight norm evaluation, envelopes, and experiments.",
+        argument_default=argparse.SUPPRESS,
     )
     ap.add_argument("--command", required=True, choices=COMMANDS)
     ap.add_argument("--config", help="space-expression config file")
     ap.add_argument("--vector", help="vector file (or 'a q' variables file)")
     ap.add_argument("--out", help="write results as CSV to this file")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int)
     ap.add_argument(
-        "--cap-members", type=int, default=DEFAULT_CHECK_MEMBERS,
+        "--cap-members", type=int,
         help="max restricted members an exhaustive check-envelope-property glues",
     )
     # the experiments write one row per case: per eps for experiment-yn,
     # per (n or --vector, sample count) for experiment-rosenthal
-    ap.add_argument("--eps", type=float, nargs="+", default=[1.0])
-    ap.add_argument("--n", type=int, nargs="+", default=None)
-    ap.add_argument("--samples", type=int, nargs="+", default=[10**6])
+    ap.add_argument("--eps", type=float, nargs="+")
+    ap.add_argument("--n", type=int, nargs="+")
+    ap.add_argument("--samples", type=int, nargs="+")
     return ap
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    given = vars(_build_parser().parse_args(argv))
+    args = argparse.Namespace(**{**DEFAULTS, **given})
     try:
+        for dest in given:
+            if dest not in READS[args.command] | {"command", "out"}:
+                flag = "--" + dest.replace("_", "-")
+                raise ValidationError(f"{flag} is not read by {args.command}")
         lines, header, rows = COMMANDS[args.command](args)
         print("\n".join(lines))
         if args.out:

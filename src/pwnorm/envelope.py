@@ -31,7 +31,7 @@ from . import norms
 from .errors import CapacityError, NormOverflowError, ValidationError
 from .families import EnvelopeMembers, Family, cell_choices, glue_restrictions, restrict_family
 from .indices import Index
-from .norms import NormResult, family_norm, pair_norm, term
+from .norms import ULP, NormResult, family_norm, pair_norm, term, ulps
 from .partitions import PairPW, RestrictedPair, RestrictedPartition, restrict_pair
 from .vectors import SparseVector
 
@@ -56,7 +56,6 @@ _NEAR_BAND = 1e-11  # relative slack for collecting re-evaluation candidates
 _MAX_FINALISTS = 1 << 22  # near-maximal assignments re-evaluated at most
 _MAX_NODES = 1 << 25  # search nodes visited at most
 _MAX_POINTS = 256  # the search recurses once per point
-_ULP = 1 << 1074  # 1 / the least subnormal float
 
 
 @dataclass(frozen=True)
@@ -426,14 +425,6 @@ class SubsetResult:
     candidates_evaluated: int
 
 
-def _ulps(v: float) -> int:
-    """v / 2^-1074, exactly: every finite float is a whole number of the
-    least subnormal, so sums of these are exact, and int / int rounds
-    them correctly, as fsum does.  OverflowError for inf."""
-    num, den = v.as_integer_ratio()
-    return num * (_ULP // den)
-
-
 def xp_envelope_subset(a: Sequence[float], w: Sequence[float], p: float) -> SubsetResult:
     """Exact envelope norm of the two-member family (all points singleton
     with weight 1 / one cell with the given weights):
@@ -496,13 +487,13 @@ def xp_envelope_subset(a: Sequence[float], w: Sequence[float], p: float) -> Subs
         pooled = [0.0] * (m + 1)
         rest = 0
         for j in range(m - 1, -1, -1):
-            rest += _ulps(term(a[order[j]], w[order[j]]))
-            pooled[j] = pow(rest / _ULP, hp)
+            rest += ulps(term(a[order[j]], w[order[j]]))
+            pooled[j] = pow(rest / ULP, hp)
         chosen = 0  # Σ_{i ∈ order[:j]} |a_i|^p in ulps
         for j in range(m + 1):
             if j:
-                chosen += _ulps(pow(term(a[order[j - 1]], 1.0), hp))
-            v = pow((chosen + _ulps(pooled[j])) / _ULP, 1.0 / p)
+                chosen += ulps(pow(term(a[order[j - 1]], 1.0), hp))
+            v = pow((chosen + ulps(pooled[j])) / ULP, 1.0 / p)
             if v > best_val:
                 best_val, best_len = v, j
     except OverflowError as exc:

@@ -11,6 +11,7 @@ finite, canonical, deduplicated list of
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -28,6 +29,7 @@ from .partitions import (
     canonical_cells,
     restrict_sorted,
 )
+from .vectors import ConstantBlock, SparseVector
 from .weights import CoordinateLift, One, Product, Weight, is_one
 
 __all__ = [
@@ -52,6 +54,7 @@ __all__ = [
     "set_partitions",
     "sum_embed",
     "sum_split_support",
+    "sum_split_vector",
     "MAX_PAIRS",
 ]
 
@@ -242,22 +245,90 @@ def sum_embed(child_no: int, pt: Index, arity: int) -> Index:
     return out + (1,) * (arity - len(out))
 
 
+def _sum_point(children: Sequence["Family"], b: Index) -> tuple[int, Index]:
+    """A point of the sum's base set as (child number, child point)."""
+    a = b[0]
+    if not (1 <= a <= len(children)):
+        raise SupportError(f"point {b}: child number {a} outside 1..{len(children)}")
+    ch = children[a - 1]
+    rest = b[1:]
+    if any(c != 1 for c in rest[ch.arity :]):
+        raise SupportError(f"point {b}: padding beyond child arity {ch.arity} must be 1")
+    return a, rest[: ch.arity]
+
+
 def sum_split_support(
     members: SumMembers, arity: int, support: Sequence[Index]
 ) -> dict[int, list[Index]]:
     """Group support points by child number and strip the embedding."""
-    children = members.children
     by_child: dict[int, list[Index]] = {}
     for b in support:
-        a = b[0]
-        if not (1 <= a <= len(children)):
-            raise SupportError(f"point {b}: child number {a} outside 1..{len(children)}")
-        ch = children[a - 1]
-        rest = b[1:]
-        if any(c != 1 for c in rest[ch.arity :]):
-            raise SupportError(f"point {b}: padding beyond child arity {ch.arity} must be 1")
-        by_child.setdefault(a, []).append(rest[: ch.arity])
+        a, pt = _sum_point(members.children, b)
+        by_child.setdefault(a, []).append(pt)
     return by_child
+
+
+def sum_split_vector(members: SumMembers, x: SparseVector) -> dict[int, SparseVector]:
+    """A vector on the sum's base set as one vector per touched child, in
+    child order and in the child's own coordinates.
+
+    Points are checked as :func:`sum_split_support` checks them, and the
+    error raised is the one of the first failing point in sorted order.
+    Blocks are not expanded: a block running along coordinate 1 gives one
+    entry to each child it crosses, a block running inside a child's
+    coordinates stays a block, and one running along the padding can hold
+    a single point only, which becomes an entry.
+    """
+    children = members.children
+    n, arity = len(children), x.arity
+    ars = [0] + [ch.arity for ch in children]
+    ones = [()] + [(1,) * (arity - 1 - ar) for ar in ars[1:]]
+
+    def bad(b: Index) -> bool:
+        return not (1 <= b[0] <= n) or b[1 + ars[b[0]] :] != ones[b[0]]
+
+    first_bad: list[Index] = []
+    entries: dict[int, list[tuple[Index, float]]] = {}
+    start = 0
+    for a in range(1, n + 1):  # entries are sorted: each child's are contiguous
+        stop = bisect.bisect_left(x.entries, ((a + 1,),), start)
+        run, start = x.entries[start:stop], stop
+        if run:
+            if ones[a]:
+                first_bad += itertools.islice((b for b, _ in run if bad(b)), 1)
+            entries[a] = [(b[1 : 1 + ars[a]], c) for b, c in run]
+    first_bad += [b for b, _ in x.entries[start : start + 1]]  # child number past n
+    blocks: dict[int, list[ConstantBlock]] = {}
+    loose: dict[int, list[tuple[Index, float]]] = {}
+    for blk in x.blocks:
+        # along coordinate 1 each point has its own child; along another
+        # coordinate only the first two points can differ in their checks
+        last = max(blk.lo, n + 1) if blk.running_coord == 1 else blk.lo + 1
+        pts = (blk.point_at(s) for s in range(blk.lo, min(blk.hi, last) + 1))
+        first_bad += itertools.islice(filter(bad, pts), 1)
+        if first_bad:
+            continue
+        if blk.running_coord == 1:
+            for a in range(blk.lo, blk.hi + 1):
+                loose.setdefault(a, []).append((blk.template[1 : 1 + ars[a]], blk.coeff))
+            continue
+        a = blk.template[0]
+        if blk.running_coord - 1 <= ars[a]:
+            blocks.setdefault(a, []).append(
+                ConstantBlock(blk.template[1 : 1 + ars[a]], blk.running_coord - 1,
+                              blk.lo, blk.hi, blk.coeff)
+            )
+        else:  # a single point, at 1 on the padding coordinate it runs along
+            loose.setdefault(a, []).append((blk.template[1 : 1 + ars[a]], blk.coeff))
+    if first_bad:
+        _sum_point(children, min(first_bad))
+    for a, more in loose.items():
+        entries[a] = sorted(entries.get(a, []) + more)
+    return {
+        a: SparseVector(ars[a], tuple(entries.get(a, ())), tuple(blocks.get(a, ())), checked=True)
+        for a in range(1, n + 1)
+        if a in entries or a in blocks
+    }
 
 
 @dataclass(frozen=True)

@@ -18,9 +18,16 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ArityError, CapacityError, NormOverflowError, SupportError, ValidationError
-from .families import Family, descriptor_members, restrict_family
-from .indices import Index
-from .partitions import PartitionDescriptor, RestrictedPair, check_weight_value
+from .families import (
+    Family,
+    SumMembers,
+    descriptor_members,
+    indiscrete_weight,
+    restrict_family,
+    sum_split_vector,
+)
+from .indices import Index, check_index
+from .partitions import Indiscrete, PairPW, PartitionDescriptor, RestrictedPair, check_weight_value
 from .vectors import ConstantBlock, SparseVector, first_overlap, first_points_inside
 from .weights import CoordinateLift, Product, Weight
 
@@ -32,6 +39,8 @@ __all__ = [
     "term",
     "canonical_value",
     "MAX_SUPPORT",
+    "ULP",
+    "ulps",
 ]
 
 MAX_SUPPORT = 1 << 16  # points a norm restricts to, or expands from blocks, at most
@@ -44,12 +53,16 @@ def term(c: float, w: float) -> float:
 
 def canonical_value(cell_terms: Sequence[Sequence[float]], p: float) -> float:
     """((Σ_cells (Σ terms)^{p/2})^{1/p} with fsum at both levels."""
+    return _root(_powered(cell_terms, p), p)
+
+
+def _powered(cell_terms: Sequence[Sequence[float]], p: float) -> list[float]:
+    """(fsum of each cell's terms)^{p/2}: the powered cell terms."""
     hp = p / 2.0
     try:
-        outer_terms = [pow(math.fsum(ts), hp) for ts in cell_terms]
+        return [pow(math.fsum(ts), hp) for ts in cell_terms]
     except OverflowError as exc:
         raise NormOverflowError(f"norm evaluation overflowed ({exc})") from exc
-    return _root(outer_terms, p)
 
 
 def _root(outer_terms: list[float], p: float) -> float:
@@ -92,7 +105,13 @@ def pair_norm(x: SparseVector, rp: RestrictedPair, p: float) -> float:
     Every support point of ``x`` must lie in ``rp``'s support; cells not
     meeting supp(x) contribute nothing.
     """
-    items = dict(x.items())
+    powers = _pair_powers(dict(x.items()), rp, p)
+    return _root(powers, p) if powers else 0.0
+
+
+def _pair_powers(items: dict[Index, float], rp: RestrictedPair, p: float) -> list[float]:
+    """:func:`pair_norm` before its root: the powered cell terms of the
+    vector with these items, one per cell meeting it."""
     member_support = set(rp.support)
     missing = [b for b in items if b not in member_support]
     if missing:
@@ -103,9 +122,7 @@ def pair_norm(x: SparseVector, rp: RestrictedPair, p: float) -> float:
         ts = [term(items[b], wmap[b]) for b in cell if b in items]
         if ts:
             cell_terms.append(ts)
-    if not cell_terms:
-        return 0.0
-    return canonical_value(cell_terms, p)
+    return _powered(cell_terms, p)
 
 
 def family_norm(x: SparseVector, f: Family) -> NormResult:
@@ -114,12 +131,15 @@ def family_norm(x: SparseVector, f: Family) -> NormResult:
     Members given by descriptors (explicit families, subset lattices and
     tensor products of these, see :func:`descriptor_members`) are
     evaluated from the blocks of ``x`` by :func:`member_norm_intensional`
-    (:data:`MAX_SUPPORT` caps the points it may expand); other sources
-    (sums, envelopes) are restricted to supp(x), at most
+    (:data:`MAX_SUPPORT` caps the points it may expand); sums are normed
+    child by child (see :func:`_sum_norm`); other sources (envelopes,
+    tensors of lattices) are restricted to supp(x), at most
     :data:`MAX_SUPPORT` points, and normed by :func:`pair_norm`.
     """
     if not x.support_size:
         raise SupportError("family_norm needs a vector with nonempty support")
+    if isinstance(f.members, SumMembers):
+        return _sum_norm(x, f)
     pairs = descriptor_members(f)
     if pairs is None:
         members = restrict_family(f, x.support(cap=MAX_SUPPORT))
@@ -134,6 +154,207 @@ def family_norm(x: SparseVector, f: Family) -> NormResult:
         if v > best:
             best, best_label = v, label
     return NormResult(value=best, argmax_member=best_label, candidates_evaluated=len(scored))
+
+
+# ---------------------------------------------------------------------------
+# (p,2) sums, child by child
+
+def _sum_norm(x: SparseVector, f: Family) -> NormResult:
+    """:func:`family_norm` of a sum, without listing its combinations.
+
+    The value and the label are those of the restricted members in
+    canonical order (every combination of the touched children's members,
+    in product order, then the global ``()``), and so is the error for
+    points outside the sum's base set (see :func:`sum_split_vector`).  Cells
+    never cross children, so the p-th power of a combination's norm is
+    the sum of its children's powered cell terms, and the maximum over
+    combinations separates: each touched child takes a member whose
+    powered cell terms have the largest exact total (integers in units of
+    2^-1074), recursively through nested sums.  The value is the root of
+    the concatenation of those terms: fsum is correctly rounded and pow
+    is monotone, so no combination's value is larger.  The sum's own
+    ``()`` member, one cell whose weight is outer(a)·ind_a on child a's
+    points, is evaluated once, and wins only when strictly larger,
+    because it is listed last.
+
+    The label is the first maximiser's in product order.  A greedy over
+    the children in order finds it: each child takes its first member c
+    such that the value of the chosen members so far, c and the later
+    children's best members equals the maximum.  A nested sum makes the
+    same choice over its own children, or takes its ``()`` when no
+    combination of them reaches the maximum.
+
+    ``candidates_evaluated`` counts the members so listed, Π k_a + 1 over
+    the touched children, where k_a is the count of child a (for a nested
+    sum, by the same rule); members that coincide on the support are
+    counted each time.
+    """
+    if x.arity != f.arity:  # restriction reports the least point
+        check_index(min([b for b, _ in x.entries[:1]] + [b.point_at(b.lo) for b in x.blocks]),
+                    f.arity)
+    node = _Sum(x, f)
+    value = _root(node.best_powers(), f.p)
+    return NormResult(value, node.first(0, value, f.p)[0], node.count)
+
+
+ULP = 1 << 1074  # 1 / the least subnormal float
+
+
+def ulps(v: float) -> int:
+    """v / 2^-1074, exactly: every finite float is a whole number of the
+    least subnormal, so sums of these are exact, and int / int rounds
+    them correctly, as fsum does.  OverflowError for inf."""
+    num, den = v.as_integer_ratio()
+    return num * (ULP // den)
+
+
+def _exact_total(powers: list[float], p: float) -> int:
+    """Σ :func:`ulps` of the powered cell terms.  Past a few terms numpy
+    sums them: each is m·2^e with a 53-bit integer m, and float sums of
+    the 26- and 27-bit halves of the m at one e are exact.  An infinite
+    term raises :class:`NormOverflowError` as :func:`_root` does."""
+    try:
+        if len(powers) <= 16:
+            return sum(map(ulps, powers))
+        a = np.array(powers, dtype=float)
+        if not np.isfinite(a).all():
+            raise OverflowError("an infinite term")
+    except OverflowError:
+        _root(powers, p)
+        raise
+    m, e = np.frexp(a)
+    q = (m * float(1 << 53)).astype(np.int64)
+    exps, at = np.unique(e, return_inverse=True)
+    hi = np.bincount(at, weights=q >> 27).astype(np.int64).tolist()
+    lo = np.bincount(at, weights=q & ((1 << 27) - 1)).astype(np.int64).tolist()
+    total = 0
+    for shift, h, l in zip((exps + 1021).tolist(), hi, lo):
+        v = (h << 27) + l
+        total += v << shift if shift >= 0 else v >> -shift  # subnormals: exact
+    return total
+
+
+def _value_of(total: int, p: float) -> float:
+    """The norm whose p-th power has this exact total, as :func:`_root`
+    gives it: int / int is correctly rounded, as fsum is."""
+    return pow(total / ULP, 1.0 / p)
+
+
+_Rows = tuple[np.ndarray, np.ndarray, list[tuple[int, float, float]]]
+
+
+def _ranked(y: SparseVector, g: Family) -> "_Members | _Sum":
+    return _Sum(y, g) if isinstance(g.members, SumMembers) else _Members(y, g)
+
+
+class _Members:
+    """A family that is no sum, on one vector: each member's label and
+    exact total in canonical order, and the powered cell terms of the
+    first member with the largest total."""
+
+    def __init__(self, y: SparseVector, g: Family) -> None:
+        self.y, self.g = y, g
+        self.ind_columns: _Columns | None = None  # of the distinguished single-cell member
+        pairs = descriptor_members(g)
+        if pairs is not None:
+            ind = indiscrete_weight(g)
+
+            def evaluate(m: PairPW) -> list[float]:
+                cols = _member_columns(y, m.partition, m.weight, g.arity)
+                if (self.ind_columns is None and m.weight == ind
+                        and not m.partition.fixed_coords(g.arity)):
+                    self.ind_columns = cols
+                return _powers(cols, g.p)
+
+            scored = ((m.label, evaluate(m)) for m in pairs)
+        else:
+            members = restrict_family(g, y.support(cap=MAX_SUPPORT))
+            items = dict(y.items())
+            scored = ((rp.label, _pair_powers(items, rp, g.p)) for rp in members)
+        self.labels: list[str] = []
+        self.totals: list[int] = []
+        self.best, self.powers = -1, []
+        for label, powers in scored:
+            t = _exact_total(powers, g.p)
+            if t > self.best:
+                self.best, self.powers = t, powers
+            self.labels.append(label)
+            self.totals.append(t)
+        self.count = len(self.totals)
+
+    def best_powers(self) -> list[float]:
+        return self.powers
+
+    def unit_rows(self) -> _Rows:
+        """The family's distinguished single-cell member on the vector:
+        the coefficients and weights of its rows, and its lumps' sizes,
+        coefficients and weights."""
+        g = self.g
+        cols = self.ind_columns or _member_columns(
+            self.y, Indiscrete(), indiscrete_weight(g), g.arity
+        )
+        _, coeff, w, lumps, _ = cols
+        return coeff, w, [(k, c, v) for _, k, c, v in lumps]
+
+    def first(self, rest: int, value: float, p: float) -> tuple[str, int]:
+        """The label and total of the first member whose value, with
+        ``rest`` added to its total, is ``value``."""
+        for label, t in zip(self.labels, self.totals):
+            if _value_of(rest + t, p) == value:
+                return label, t
+        raise AssertionError("no member attains the maximum")  # pragma: no cover
+
+
+class _Sum:
+    """A sum family on one vector: its touched children's ranked members,
+    and its own ``()`` member (see :func:`_sum_norm`)."""
+
+    def __init__(self, y: SparseVector, f: Family) -> None:
+        src = f.members
+        parts = sum_split_vector(src, y)
+        self.children = [(a, _ranked(v, src.children[a - 1])) for a, v in parts.items()]
+        self.combined = sum(node.best for _, node in self.children)
+        self.count = math.prod(node.count for _, node in self.children) + 1
+        # the () member: one cell, weighted outer(a)·ind_a on child a's points
+        outer = [src.outer.value_at_nat(a) for a in parts]
+        rows = [node.unit_rows() for _, node in self.children]
+        coeff = np.concatenate([c for c, _, _ in rows])
+        w = np.concatenate([o * ws for o, (_, ws, _) in zip(outer, rows)])
+        lumps = [(k, c, o * v) for o, (_, _, ls) in zip(outer, rows) for k, c, v in ls]
+        if len(w):  # a product of weights in (0, 1] can only underflow to 0
+            check_weight_value(float(w.min()))
+        for _, _, v in lumps:
+            check_weight_value(v)
+        self.rows = coeff, w, lumps
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = ((coeff * coeff) * (w * w)).tolist()
+        for k, c, v in lumps:
+            terms += _exact_multiple(k, term(c, v))
+        self.unit_powers = _powered([terms], f.p)
+        self.unit = _exact_total(self.unit_powers, f.p)
+        self.best = max(self.combined, self.unit)
+
+    def unit_rows(self) -> _Rows:
+        return self.rows
+
+    def best_powers(self) -> list[float]:
+        if self.unit > self.combined:
+            return self.unit_powers
+        return [t for _, node in self.children for t in node.best_powers()]
+
+    def first(self, rest: int, value: float, p: float) -> tuple[str, int]:
+        """As :meth:`_Members.first`, over the combinations in product
+        order and then ``()``."""
+        later = self.combined
+        if _value_of(rest + later, p) != value:
+            return "()", self.unit
+        labels, chosen = [], 0
+        for a, node in self.children:
+            later -= node.best
+            label, t = node.first(rest + chosen + later, value, p)
+            labels.append(f"{a}:{label}")
+            chosen += t
+        return "prod(" + ",".join(labels) + ")", chosen
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +405,46 @@ def member_norm_intensional(
     :data:`MAX_SUPPORT` limit fail as ``value_at`` and the cap do.  With
     several failing points, the one raised is the first in row order.
     """
+    return _root(_powers(_member_columns(x, partition, weight, arity), p), p)
+
+
+_Columns = tuple[
+    list[np.ndarray],  # the fixed coordinates of the rows
+    np.ndarray,  # the rows' coefficients
+    np.ndarray,  # and weights
+    list[tuple[tuple[int, ...], int, float, float]],  # lumps: cell key, size, coefficient, weight
+    list[tuple[int, float, float]],  # split blocks: size, coefficient, weight
+]
+
+
+def _powers(columns: _Columns, p: float) -> list[float]:
+    """:func:`member_norm_intensional` before its root: the member's
+    powered cell terms, a split block's K cells as exact parts."""
+    keys, coeff, w, lumps, splits = columns
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = (coeff * coeff) * (w * w)
+    # a lump's K terms, as exact parts, filed under the key of its cell
+    lumped: dict[tuple[int, ...], list[float]] = {}
+    for key, k, c, v in lumps:
+        lumped.setdefault(key, []).extend(_exact_multiple(k, term(c, v)))
+    hp = p / 2.0
+    try:
+        outer = _cell_powers(keys, terms, lumped, hp)
+        for k, c, v in splits:
+            outer.extend(_exact_multiple(k, pow(term(c, v), hp)))
+    except OverflowError as exc:
+        raise NormOverflowError(f"norm evaluation overflowed ({exc})") from exc
+    return outer
+
+
+def _member_columns(
+    x: SparseVector, partition: PartitionDescriptor, weight: Weight, arity: int
+) -> _Columns:
+    """The member on ``x`` before any term is formed: the fixed-coordinate
+    columns, coefficients and checked weights of the rows evaluated as
+    columns; each lump's cell key, size, coefficient and weight; and each
+    split block's size, coefficient and weight (see
+    :func:`member_norm_intensional`)."""
     if x.arity != arity:
         raise ArityError(f"vector arity {x.arity} does not match the family arity {arity}")
     if not x.support_size:
@@ -194,8 +455,9 @@ def member_norm_intensional(
     def key_of(idx: Index) -> tuple[int, ...]:
         return tuple(idx[q] for q in fixed)
 
-    def term_at(c: float, idx: Index) -> float:
-        return term(c, check_weight_value(weight.value_at(idx), weight, idx))
+    def weight_of(blk: ConstantBlock) -> float:
+        at = blk.point_at(blk.lo)
+        return check_weight_value(weight.value_at(at), weight, at)
 
     lumps, splits, varying = [], [], []
     for blk in x.blocks:
@@ -213,27 +475,14 @@ def member_norm_intensional(
         lumps, splits = [], []
         idx, coeff = _points(x, x.blocks)
 
-    if len(idx):
-        w = _checked_weight_column(weight, idx)
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = (coeff * coeff) * (w * w)
-    else:
-        terms = coeff
-    # a lump's K terms, as exact parts, filed under the key of its cell
-    lumped: dict[tuple[int, ...], list[float]] = {}
-    for blk in lumps:
-        ts = _exact_multiple(blk.size, term_at(blk.coeff, blk.point_at(blk.lo)))
-        lumped.setdefault(key_of(blk.template), []).extend(ts)
-    singletons = [(blk.size, term_at(blk.coeff, blk.point_at(blk.lo))) for blk in splits]
-
-    hp = p / 2.0
-    try:
-        outer = _cell_powers([idx[:, q] for q in fixed], terms, lumped, hp)
-        for k, t in singletons:
-            outer.extend(_exact_multiple(k, pow(t, hp)))
-    except OverflowError as exc:
-        raise NormOverflowError(f"norm evaluation overflowed ({exc})") from exc
-    return _root(outer, p)
+    w = _checked_weight_column(weight, idx) if len(idx) else coeff
+    return (
+        [idx[:, q] for q in fixed],
+        coeff,
+        w,
+        [(key_of(b.template), b.size, b.coeff, weight_of(b)) for b in lumps],
+        [(b.size, b.coeff, weight_of(b)) for b in splits],
+    )
 
 
 def _points(x: SparseVector, blocks: Sequence[ConstantBlock]) -> tuple[np.ndarray, np.ndarray]:

@@ -13,6 +13,7 @@ element, points sorted within each cell.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import InitVar, dataclass
 from typing import Mapping, Sequence, Union
 
@@ -189,18 +190,25 @@ class RestrictedPair:
                 check_weight_value(v)
 
     def weight_at(self, b: Index) -> float:
-        return self.weight_values[self.support.index(b)]
+        return self._weight_of[b]
 
     def weight_map(self) -> dict[Index, float]:
         return dict(zip(self.support, self.weight_values))
 
     def cell_of(self) -> dict[Index, int]:
-        """Map each support point to the index of its cell."""
-        out: dict[Index, int] = {}
-        for i, c in enumerate(self.cells):
-            for b in c:
-                out[b] = i
-        return out
+        """Map each support point to the index of its cell; built once, do
+        not modify."""
+        return self._cell_index
+
+    # for weight_at alone: the many pairs that are glued or normed once
+    # read weight_map once, and would each keep a dict
+    @functools.cached_property
+    def _weight_of(self) -> dict[Index, float]:
+        return self.weight_map()
+
+    @functools.cached_property
+    def _cell_index(self) -> dict[Index, int]:
+        return {b: i for i, c in enumerate(self.cells) for b in c}
 
     def canonical_key(self) -> tuple:
         """Structural identity: cells plus weight values, label ignored."""

@@ -381,7 +381,7 @@ def test_list_csv_is_the_single_value_rows(tmp_path, capsys, command, flag, valu
     assert many_out == capsys.readouterr().out
 
 
-def test_rosenthal_rows_are_cases_then_sample_counts(tmp_path):
+def test_rosenthal_rows_are_cases_then_sample_counts(tmp_path, capsys):
     vars_path = _file(tmp_path, "2.0 0.25\n1.0 1.0\n", "vars.txt")
     out = str(tmp_path / "r.csv")
     argv = ["--command", "experiment-rosenthal", "--n", "1", "2", "--samples", "10000", "40000"]
@@ -392,8 +392,11 @@ def test_rosenthal_rows_are_cases_then_sample_counts(tmp_path):
     ]
     # a constant |sum| (N = 1 with q = 1) has standard error 0 at any sample count
     assert [r[5] for r in rows[:2]] == ["0", "0"]
-    assert main(argv + ["--vector", vars_path, "--out", out]) == 0
+    assert main(argv[:2] + argv[5:] + ["--vector", vars_path, "--out", out]) == 0
     assert [r[0] for r in _rows(out)[1:]] == ["2", "2"]
+    # --n is not read once --vector gives the case
+    assert main(argv + ["--vector", vars_path, "--out", out]) == 2
+    assert capsys.readouterr().err == "error: --n is not read by experiment-rosenthal with --vector\n"
 
 
 def test_experiment_yn_takes_one_n(tmp_path, capsys):
@@ -402,6 +405,28 @@ def test_experiment_yn_takes_one_n(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: experiment-yn takes one --n: its S_0..S_{2^n-1} columns depend on n\n"
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["experiment-rosenthal", "--vector", "VARS", "--n", "1", "2", "--eps", "0.5"], "--eps"),
+        (["experiment-yn", "--samples", "5"], "--samples"),
+        (["norm", "--config", "CFG", "--vector", "VEC", "--eps", "0.5"], "--eps"),
+        (["norm", "--config", "CFG", "--vector", "VEC", "--cap-members", "3"], "--cap-members"),
+        (["classify", "--config", "CFG", "--seed", "3"], "--seed"),
+        (["envelope", "--seed", "1", "--n", "2", "--config", "CFG"], "--seed"),
+    ],
+    ids=["rosenthal-eps", "yn-samples", "norm-eps", "norm-cap", "classify-seed", "first-given"],
+)
+def test_unread_flags_are_refused(tmp_path, capsys, argv, flag):
+    files = {"VARS": _file(tmp_path, "1.0 1.0\n", "vars.txt"), "CFG": _cfg(tmp_path),
+             "VEC": _vec(tmp_path)}
+    out = tmp_path / "r.csv"
+    argv = ["--command"] + [files.get(a, a) for a in argv] + ["--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {flag} is not read by {argv[1]}\n")
     assert not out.exists()
 
 

@@ -35,13 +35,13 @@ from pwnorm.partitions import (
     restrict_pair,
 )
 from pwnorm.spaces import (
+    envelope_family,
     make_l2,
     make_lp,
     make_rosenthal_xp,
     make_sum_l2_lp,
     make_admissible,
     make_Yn,
-    p2w_sum,
     tensor_family,
 )
 from pwnorm.vectors import ConstantBlock, SparseVector, blocks_overlap, unit_vector
@@ -277,16 +277,16 @@ def test_descriptor_path_keeps_the_restriction_checks(monkeypatch):
 
 def test_restriction_support_cap_is_checked_before_restricting(monkeypatch):
     assert MAX_SUPPORT == 1 << 16
-    fam = p2w_sum([make_rosenthal_xp(4.0, PowerDecay(0.5))] * 2, Constant(0.5))
-    x = SparseVector(2, blocks=(ConstantBlock((1, 1), 2, 1, 50, 1.0),
-                                ConstantBlock((2, 1), 2, 1, 50, 0.5)))
-    monkeypatch.setattr("pwnorm.norms.MAX_SUPPORT", 100)
+    fam = envelope_family(make_rosenthal_xp(4.0, PowerDecay(0.5)))
+    x = SparseVector(1, blocks=(ConstantBlock((1,), 1, 1, 2, 1.0),
+                                ConstantBlock((4,), 1, 4, 5, 0.5)))
+    monkeypatch.setattr("pwnorm.norms.MAX_SUPPORT", 4)
     assert family_norm(x, fam).value > 0
-    monkeypatch.setattr("pwnorm.norms.MAX_SUPPORT", 99)
+    monkeypatch.setattr("pwnorm.norms.MAX_SUPPORT", 3)
     monkeypatch.setattr("pwnorm.norms.restrict_family", None)
     with pytest.raises(CapacityError) as err:
         family_norm(x, fam)
-    assert str(err.value) == "support size 100 exceeds cap 99"
+    assert str(err.value) == "support size 4 exceeds cap 3"
 
 
 def test_the_first_failing_point_is_reported():
