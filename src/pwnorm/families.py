@@ -325,10 +325,24 @@ def sum_split_vector(members: SumMembers, x: SparseVector) -> dict[int, SparseVe
     for a, more in loose.items():
         entries[a] = sorted(entries.get(a, []) + more)
     return {
-        a: SparseVector(ars[a], tuple(entries.get(a, ())), tuple(blocks.get(a, ())), checked=True)
+        a: _split_vector(ars[a], entries.get(a, []), blocks.get(a, []))
         for a in range(1, n + 1)
         if a in entries or a in blocks
     }
+
+
+def _split_vector(
+    arity: int, entries: list[tuple[Index, float]], blocks: list[ConstantBlock]
+) -> SparseVector:
+    """A child's part of a checked sum vector, built without validating it
+    again: stripping the child number and padding keeps the entries
+    sorted, distinct, nonzero and finite, and the blocks disjoint from
+    them and from each other."""
+    v = object.__new__(SparseVector)
+    object.__setattr__(v, "arity", arity)
+    object.__setattr__(v, "entries", tuple(entries))
+    object.__setattr__(v, "blocks", tuple(blocks))
+    return v
 
 
 @dataclass(frozen=True)

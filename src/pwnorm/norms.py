@@ -209,38 +209,19 @@ def ulps(v: float) -> int:
 
 
 def _exact_total(powers: list[float], p: float) -> int:
-    """Σ :func:`ulps` of the powered cell terms.  Past a few terms numpy
-    sums them: each is m·2^e with a 53-bit integer m, and float sums of
-    the 26- and 27-bit halves of the m at one e are exact.  An infinite
-    term raises :class:`NormOverflowError` as :func:`_root` does."""
+    """Σ :func:`ulps` of the powered cell terms.  An infinite term raises
+    :class:`NormOverflowError` as :func:`_root` does."""
     try:
-        if len(powers) <= 16:
-            return sum(map(ulps, powers))
-        a = np.array(powers, dtype=float)
-        if not np.isfinite(a).all():
-            raise OverflowError("an infinite term")
+        return sum(map(ulps, powers))
     except OverflowError:
         _root(powers, p)
         raise
-    m, e = np.frexp(a)
-    q = (m * float(1 << 53)).astype(np.int64)
-    exps, at = np.unique(e, return_inverse=True)
-    hi = np.bincount(at, weights=q >> 27).astype(np.int64).tolist()
-    lo = np.bincount(at, weights=q & ((1 << 27) - 1)).astype(np.int64).tolist()
-    total = 0
-    for shift, h, l in zip((exps + 1021).tolist(), hi, lo):
-        v = (h << 27) + l
-        total += v << shift if shift >= 0 else v >> -shift  # subnormals: exact
-    return total
 
 
 def _value_of(total: int, p: float) -> float:
     """The norm whose p-th power has this exact total, as :func:`_root`
     gives it: int / int is correctly rounded, as fsum is."""
     return pow(total / ULP, 1.0 / p)
-
-
-_Rows = tuple[np.ndarray, np.ndarray, list[tuple[int, float, float]]]
 
 
 def _ranked(y: SparseVector, g: Family) -> "_Members | _Sum":
@@ -285,16 +266,12 @@ class _Members:
     def best_powers(self) -> list[float]:
         return self.powers
 
-    def unit_rows(self) -> _Rows:
-        """The family's distinguished single-cell member on the vector:
-        the coefficients and weights of its rows, and its lumps' sizes,
-        coefficients and weights."""
+    def unit_columns(self) -> _Columns:
+        """The family's distinguished single-cell member on the vector."""
         g = self.g
-        cols = self.ind_columns or _member_columns(
+        return self.ind_columns or _member_columns(
             self.y, Indiscrete(), indiscrete_weight(g), g.arity
         )
-        _, coeff, w, lumps, _ = cols
-        return coeff, w, [(k, c, v) for _, k, c, v in lumps]
 
     def first(self, rest: int, value: float, p: float) -> tuple[str, int]:
         """The label and total of the first member whose value, with
@@ -316,26 +293,25 @@ class _Sum:
         self.combined = sum(node.best for _, node in self.children)
         self.count = math.prod(node.count for _, node in self.children) + 1
         # the () member: one cell, weighted outer(a)·ind_a on child a's points
+        # (no fixed coordinates, so every row and lump is in the one cell)
         outer = [src.outer.value_at_nat(a) for a in parts]
-        rows = [node.unit_rows() for _, node in self.children]
-        coeff = np.concatenate([c for c, _, _ in rows])
-        w = np.concatenate([o * ws for o, (_, ws, _) in zip(outer, rows)])
-        lumps = [(k, c, o * v) for o, (_, _, ls) in zip(outer, rows) for k, c, v in ls]
+        units = [node.unit_columns() for _, node in self.children]
+        coeff = np.concatenate([c for _, c, _, _, _ in units])
+        w = np.concatenate([o * ws for o, (_, _, ws, _, _) in zip(outer, units)])
+        lumps = [
+            ((), k, c, o * v) for o, (_, _, _, ls, _) in zip(outer, units) for _, k, c, v in ls
+        ]
         if len(w):  # a product of weights in (0, 1] can only underflow to 0
             check_weight_value(float(w.min()))
-        for _, _, v in lumps:
+        for _, _, _, v in lumps:
             check_weight_value(v)
-        self.rows = coeff, w, lumps
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = ((coeff * coeff) * (w * w)).tolist()
-        for k, c, v in lumps:
-            terms += _exact_multiple(k, term(c, v))
-        self.unit_powers = _powered([terms], f.p)
+        self.columns: _Columns = ([], coeff, w, lumps, [])
+        self.unit_powers = _powers(self.columns, f.p)
         self.unit = _exact_total(self.unit_powers, f.p)
         self.best = max(self.combined, self.unit)
 
-    def unit_rows(self) -> _Rows:
-        return self.rows
+    def unit_columns(self) -> _Columns:
+        return self.columns
 
     def best_powers(self) -> list[float]:
         if self.unit > self.combined:

@@ -13,7 +13,7 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -224,20 +224,14 @@ class SparseVector:
 
     Entries are stored sorted by index.  Construction validates that no
     point is covered twice (entry/entry, entry/block, or block/block).
-    Overlap checking is structural — blocks are never expanded.  A caller
-    that passes ``checked=True`` vouches for all of this: the entries are
-    sorted, distinct, nonzero and finite, and the blocks disjoint from
-    them and from each other.
+    Overlap checking is structural — blocks are never expanded.
     """
 
     arity: int
     entries: tuple[tuple[Index, float], ...] = ()
     blocks: tuple[ConstantBlock, ...] = ()
-    checked: InitVar[bool] = False
 
-    def __post_init__(self, checked: bool) -> None:
-        if checked:
-            return
+    def __post_init__(self) -> None:
         if self.arity < 1:
             raise ValidationError(f"arity must be >= 1, got {self.arity}")
         ents = []

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pwnorm.errors import CapacityError, SupportError
+from pwnorm.errors import CapacityError, SupportError, ValidationError
 from pwnorm.experiments import yn_default_params, yn_witness
 from pwnorm.families import SumMembers, restrict_family, sum_embed
 from pwnorm.norms import MAX_SUPPORT, family_norm, pair_norm
@@ -187,6 +187,23 @@ def test_split_errors_are_the_restrictions(fam, entries, blocks, message):
         with pytest.raises(SupportError) as err:
             norm(x, fam)
         assert str(err.value) == message
+
+
+def test_weight_errors_in_a_child_are_the_childs():
+    # a weight failing at several points of a descriptor child is reported
+    # as the child's own norm reports it, at its first failing point in
+    # row order (entries, then block points); restriction named the least
+    child = make_rosenthal_xp(4.0, Geometric(0.5))
+    fam = p2w_sum([child, make_admissible(make_lp(4.0))], Constant(0.5))
+    x = SparseVector(2, (((1, 1100), 0.5), ((2, 3), 1.0)),
+                     (ConstantBlock((1, 1080), 2, 1080, 1090, 0.3),))
+    y = SparseVector(1, (((1100,), 0.5),), (ConstantBlock((1080,), 1, 1080, 1090, 0.3),))
+    message = "weight Geometric(ratio=0.5) underflows to 0.0 at s = "
+    for norm, v, f, at in ((family_norm, x, fam, 1100), (family_norm, y, child, 1100),
+                           (restricted_norm, x, fam, 1080)):
+        with pytest.raises(ValidationError) as err:
+            norm(v, f)
+        assert str(err.value) == message + str(at)
 
 
 def test_coinciding_members_are_counted_each_time():
